@@ -16,8 +16,9 @@ Every response is verified: all requests must succeed and return the
 serial engine's rows for that statement — a throughput number that
 changes answers must fail loudly, not get recorded.
 
-The report is stored under the ``"server"`` key of ``BENCH_speedup.json``
-(other sections preserved, atomic write), so the serving layer's perf
+Full runs store the report under the ``"server"`` key of
+``BENCH_speedup.json`` (other sections preserved, atomic write); ``--quick``
+runs write a file only when ``--output`` is given. The serving layer's perf
 trajectory rides the same stored-baseline regression report as the
 executor benchmarks: a qps drop below ``REGRESSION_TOLERANCE`` of the
 stored baseline prints loudly on stderr; ``--check`` additionally gates
@@ -44,6 +45,7 @@ from repro.dmv import four_table_workload, load_dmv
 from repro.server import QueryServer, ServerConfig
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+BASELINE_PATH = REPO_ROOT / "BENCH_speedup.json"
 
 #: Stored-baseline qps may drift down by this factor before the
 #: regression report fires (wall-clock noise allowance).
@@ -128,9 +130,16 @@ def main(argv: list[str] | None = None) -> int:
         f"> {OVERHEAD_TOLERANCE:.1f}x serial",
     )
     parser.add_argument(
-        "--output", default=str(REPO_ROOT / "BENCH_speedup.json")
+        "--output",
+        default=None,
+        help="JSON file to fold the server section into (default: "
+        "BENCH_speedup.json for full runs; --quick runs write only when "
+        "this is given)",
     )
     args = parser.parse_args(argv)
+    output = args.output
+    if output is None and not args.quick:
+        output = str(BASELINE_PATH)
     if args.quick:
         args.scale = min(args.scale, 0.01)
         args.requests_per_client = min(args.requests_per_client, 15)
@@ -215,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cache:     {section['plan_cache_hit_rate']:.1%} hit rate")
 
     # Fold into the shared benchmark file, preserving other sections.
-    path = pathlib.Path(args.output)
+    path = pathlib.Path(output or BASELINE_PATH)
     payload: dict = {}
     if path.exists():
         try:
@@ -237,9 +246,10 @@ def main(argv: list[str] | None = None) -> int:
             f"REGRESSION: server qps {section['qps']:.1f} < stored "
             f"baseline {old_qps:.1f} * {REGRESSION_TOLERANCE}"
         )
-    payload["server"] = section
-    write_json_atomic(path, payload)
-    print(f"wrote server section to {path}", file=sys.stderr)
+    if output is not None:
+        payload["server"] = section
+        write_json_atomic(path, payload)
+        print(f"wrote server section to {path}", file=sys.stderr)
     for line in regressions:
         print(line, file=sys.stderr)
 

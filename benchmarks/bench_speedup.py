@@ -1,28 +1,23 @@
 """Speedup of the fast adaptive modes on the six-table DMV workload.
 
-Measures three executor variants of the same workload per reorder mode:
+Measures two executor variants of the same workload per reorder mode:
 
 * ``scalar``  — the row-at-a-time pipeline (the paper's executor),
 * ``batched`` — driving-leg batches + merged-descent ``probe_batch``;
   monitored modes run it with ``monitor_granularity="chunk"`` (the fast
   adaptive mode: O(1)-per-chunk window updates, checks at chunk
-  boundaries),
-* ``cached``  — batched plus the per-leg LRU probe cache.
+  boundaries).
 
-Variant reps are interleaved (scalar, batched, cached, scalar, ...) and the
+Variant reps are interleaved (scalar, batched, scalar, ...) and the
 minimum per variant is reported, so machine-load drift hits every variant
 alike instead of biasing whichever ran last. Every variant's result rows are
 checked against scalar's per query — a speedup that changes answers must
-fail loudly, not report numbers.
-
-Each variant records the executor configuration it ran under (``config``),
-and the probe-cache counters appear only for variants that actually arm a
-cache — an uncached variant *has* no cache, so it reports nothing rather
-than a misleading ``probe_cache_hits: 0``.
+fail loudly, not report numbers. Each variant records the executor
+configuration it ran under (``config``).
 
 The ``backends`` section re-runs the same variants — plus an
 ``adaptive_vector`` variant pinning the vectorized cascade's qualifying
-configuration (batched, chunk granularity, no probe cache) — against the
+configuration (batched, chunk granularity) — against the
 **columnar** storage backend (same data, same RIDs) and reports each
 variant's speedup over the *row scalar* baseline of the same mode — the
 headline numbers of the columnar backend. Columnar result rows are
@@ -56,9 +51,11 @@ six-table workload runs disarmed and with a recorder-armed (cold) bundle,
 interleaved min-of-reps, and reports the armed wall overhead. The recorder
 contract is ≤5% — under ``--check`` a larger overhead fails the run.
 
-Results go to ``BENCH_speedup.json`` at the repo root (atomic write), so the
-perf trajectory of future PRs is recorded. Any mode whose speedup regresses
-vs the stored baseline is reported loudly on stderr; under ``--check`` the
+Full runs write ``BENCH_speedup.json`` at the repo root (atomic write), so
+the perf trajectory of future PRs is recorded; ``--quick`` runs write a file
+only when ``--output`` is given, so a CI smoke never overwrites the stored
+full-scale numbers. Any mode whose speedup regresses vs the stored baseline
+is reported loudly on stderr; under ``--check`` the
 process also exits non-zero if the batched path is slower than scalar by
 more than 10%, or the armed recorder costs more than 5% wall.
 
@@ -82,6 +79,7 @@ from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.dmv import load_dmv, six_table_workload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+BASELINE_PATH = REPO_ROOT / "BENCH_speedup.json"
 
 #: --check fails when batched exceeds scalar time by more than this factor.
 CHECK_TOLERANCE = 1.10
@@ -132,7 +130,7 @@ PARALLEL_WORKLOAD = [
 
 
 def build_variants(
-    mode: ReorderMode, batch_size: int, cache_size: int
+    mode: ReorderMode, batch_size: int
 ) -> dict[str, AdaptiveConfig]:
     # Monitored modes get the amortized chunk-granularity windows — the
     # fast adaptive mode this benchmark exists to measure. Mode NONE has
@@ -146,29 +144,21 @@ def build_variants(
             batch_size=batch_size,
             monitor_granularity=granularity,
         ),
-        "cached": AdaptiveConfig(
-            mode=mode,
-            batched=True,
-            batch_size=batch_size,
-            probe_cache_size=cache_size,
-            monitor_granularity=granularity,
-        ),
     }
 
 
 def build_backend_variants(
-    mode: ReorderMode, batch_size: int, cache_size: int
+    mode: ReorderMode, batch_size: int
 ) -> dict[str, AdaptiveConfig]:
-    """The backends-section variants: the row trio plus ``adaptive_vector``.
+    """The backends-section variants: the row pair plus ``adaptive_vector``.
 
     ``adaptive_vector`` pins the vectorized engine's qualifying
-    configuration — batched, chunk-granularity monitoring, no probe cache
-    (a cache disqualifies the cascade) — so the recorded ``engines`` list
-    proves the chunked adaptive cascade (monitored modes) or the static
-    cascade (mode NONE) actually ran, and the mode-``both`` perf gate has
-    a named variant to hold.
+    configuration — batched, chunk-granularity monitoring — so the
+    recorded ``engines`` list proves the chunked adaptive cascade
+    (monitored modes) or the static cascade (mode NONE) actually ran, and
+    the mode-``both`` perf gate has a named variant to hold.
     """
-    variants = build_variants(mode, batch_size, cache_size)
+    variants = build_variants(mode, batch_size)
     variants["adaptive_vector"] = AdaptiveConfig(
         mode=mode,
         batched=True,
@@ -183,7 +173,6 @@ def variant_config_summary(config: AdaptiveConfig) -> dict:
     return {
         "batched": config.batched,
         "batch_size": config.batch_size if config.batched else None,
-        "probe_cache_size": config.probe_cache_size,
         "monitor_granularity": (
             config.monitor_granularity if config.batched else None
         ),
@@ -198,10 +187,6 @@ def measure_mode(
     *reference* maps qid -> sorted rows; pass a populated dict to verify
     against another measurement's answers (the cross-backend check), or
     leave None to verify variants against each other only.
-
-    Probe-cache counters are recorded only for variants whose config arms
-    a cache (``probe_cache_size > 0``); other variants have no cache, so
-    the keys are absent rather than zero.
     """
     best = {name: float("inf") for name in variants}
     meters: dict[str, dict] = {name: {} for name in variants}
@@ -210,15 +195,10 @@ def measure_mode(
         reference = {}
     for rep in range(reps):
         for name, config in variants.items():
-            arms_cache = config.probe_cache_size > 0
             total = 0.0
-            hits = misses = 0
             for query in queries:
                 outcome = db.execute(query.sql, config)
                 total += outcome.stats.wall_seconds
-                if arms_cache:
-                    hits += outcome.stats.work.probe_cache_hits
-                    misses += outcome.stats.work.probe_cache_misses
                 if rep == 0:
                     engines[name].add(outcome.stats.engine)
                     rows = sorted(outcome.rows)
@@ -233,9 +213,6 @@ def measure_mode(
                     "wall_seconds": total,
                     "config": variant_config_summary(config),
                 }
-                if arms_cache:
-                    meters[name]["probe_cache_hits"] = hits
-                    meters[name]["probe_cache_misses"] = misses
     for name in meters:
         # Which execution engine(s) ran the variant's queries (engine
         # choice is deterministic, so rep 0 covers it).
@@ -449,9 +426,13 @@ def measure_observability(db, queries, reps: int) -> dict:
     }
 
 
-def report_regressions(output_path: str, payload: dict) -> list[str]:
-    """Compare against the stored baseline; return loud human lines."""
-    path = pathlib.Path(output_path)
+def report_regressions(baseline_path: str, payload: dict) -> list[str]:
+    """Compare against the stored baseline; return loud human lines.
+
+    Only the variants *payload* measured are looked up, so keys a stored
+    baseline carries for variants this script no longer runs are ignored.
+    """
+    path = pathlib.Path(baseline_path)
     if not path.exists():
         return []
     try:
@@ -536,12 +517,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=7, help="interleaved repetitions")
     parser.add_argument("--batch-size", type=int, default=256)
     parser.add_argument(
-        "--cache-size",
-        type=int,
-        default=4096,
-        help="probe-cache capacity for the cached variant",
-    )
-    parser.add_argument(
         "--adaptive",
         action="store_true",
         help="also measure mode BOTH (adaptive reordering) variants",
@@ -563,10 +538,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=str(REPO_ROOT / "BENCH_speedup.json"),
-        help="where to write the JSON payload",
+        default=None,
+        help="where to write the JSON payload (default: "
+        f"{BASELINE_PATH.name} for full runs; --quick runs write only "
+        "when this is given)",
     )
     args = parser.parse_args(argv)
+    output = args.output
+    if output is None and not args.quick:
+        output = str(BASELINE_PATH)
 
     if args.quick:
         args.scale = min(args.scale, 0.05)
@@ -597,26 +577,23 @@ def main(argv: list[str] | None = None) -> int:
         "query_count": len(queries),
         "reps": args.reps,
         "batch_size": args.batch_size,
-        "cache_size": args.cache_size,
         "modes": {},
         "backends": {"columnar": {"modes": {}}},
     }
     check_failed = False
     engine_gate_failed = False
     for mode in modes:
-        variants = build_variants(mode, args.batch_size, args.cache_size)
+        variants = build_variants(mode, args.batch_size)
         reference: dict[str, list] = {}
         meters = measure_mode(db, queries, variants, args.reps, reference)
         scalar = meters["scalar"]["wall_seconds"]
         batched = meters["batched"]["wall_seconds"]
-        cached = meters["cached"]["wall_seconds"]
         for name in meters:
             meters[name]["speedup_vs_scalar"] = scalar / meters[name]["wall_seconds"]
         payload["modes"][mode.name.lower()] = meters
         print(
             f"{mode.name.lower():8s} scalar={scalar:.3f}s "
-            f"batched={batched:.3f}s ({scalar / batched:.2f}x) "
-            f"cached={cached:.3f}s ({scalar / cached:.2f}x)"
+            f"batched={batched:.3f}s ({scalar / batched:.2f}x)"
         )
         if mode is ReorderMode.NONE and batched > scalar * CHECK_TOLERANCE:
             check_failed = True
@@ -624,9 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         # Columnar backend: same variants plus ``adaptive_vector``, same
         # queries, answers verified against the row backend's (the shared
         # *reference*); speedups are vs the row scalar baseline above.
-        col_variants = build_backend_variants(
-            mode, args.batch_size, args.cache_size
-        )
+        col_variants = build_backend_variants(mode, args.batch_size)
         col_meters = measure_mode(
             columnar_db, queries, col_variants, args.reps, reference
         )
@@ -791,7 +766,7 @@ def main(argv: list[str] | None = None) -> int:
                     )
                     engine_gate_failed = True
 
-    regressions = report_regressions(args.output, payload)
+    regressions = report_regressions(output or str(BASELINE_PATH), payload)
     for line in regressions:
         print(line, file=sys.stderr)
     # The columnar backend's static speedup is a hard perf contract: under
@@ -803,8 +778,9 @@ def main(argv: list[str] | None = None) -> int:
         for line in regressions
     )
 
-    write_json_atomic(args.output, payload)
-    print(f"wrote {args.output}")
+    if output is not None:
+        write_json_atomic(output, payload)
+        print(f"wrote {output}")
     db.close()
     columnar_db.close()
     if args.check and check_failed:

@@ -86,8 +86,6 @@ SCHEMA = {
         "recorded_total": "count",
         "slow_total": "count",
         "slow_queries_total": "count",
-        "probe_cache_hits_total": "count",
-        "probe_cache_misses_total": "count",
         "store_segments": "count",
     },
     "storage": {

@@ -139,14 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run on the batched executor with driving-leg chunks of N rows",
     )
     query.add_argument(
-        "--probe-cache",
-        type=int,
-        default=None,
-        metavar="N",
-        help="arm the per-leg LRU probe cache with capacity N "
-        "(implies the batched executor)",
-    )
-    query.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -444,17 +436,13 @@ def _make_config(
     cascade on the columnar backend) gets the partitioned path.
     """
     batch_size = getattr(cli_args, "batch_size", None)
-    probe_cache = getattr(cli_args, "probe_cache", None)
     workers = getattr(cli_args, "workers", 1) or 1
     kwargs: dict = {"mode": mode}
     if workers > 1 and not serial:
         kwargs["workers"] = workers
-    if batch_size is not None or probe_cache is not None:
+    if batch_size is not None:
         kwargs["batched"] = True
-        if batch_size is not None:
-            kwargs["batch_size"] = batch_size
-        if probe_cache is not None:
-            kwargs["probe_cache_size"] = probe_cache
+        kwargs["batch_size"] = batch_size
     return AdaptiveConfig(**kwargs)
 
 

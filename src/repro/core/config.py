@@ -91,16 +91,6 @@ class AdaptiveConfig:
     # Target batch width for the batched path (the lookahead shrinks near
     # reorder-check boundaries so adaptation points are never overrun).
     batch_size: int = 256
-    # LRU capacity (entries per leg) of the join-key probe cache; 0 keeps
-    # the cache off. Cache hits skip the repeated descend/fetch/eval work
-    # charges — the one documented divergence from scalar accounting.
-    # The default stays 0 *on purpose*: the cache measurably speeds up
-    # skewed workloads (BENCH_speedup.json's batched-chunk-cached mode),
-    # but its skipped charges change ``ExecutionStats.work`` relative to
-    # the paper's cost model, so enabling it silently would shift every
-    # reproduced figure. Opt in per run (``--probe-cache N``); hit rates
-    # are reported by EXPLAIN ANALYZE.
-    probe_cache_size: int = 0
     # How monitor windows absorb batched execution's chunks:
     #
     # * ``"exact"`` — per-sample ring updates; windows, estimates, reorder
@@ -133,8 +123,6 @@ class AdaptiveConfig:
             raise ValueError("warmup_rows must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.probe_cache_size < 0:
-            raise ValueError("probe_cache_size must be >= 0")
         if self.monitor_granularity not in ("exact", "chunk"):
             raise ValueError(
                 "monitor_granularity must be 'exact' or 'chunk'"

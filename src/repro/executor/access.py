@@ -195,9 +195,10 @@ class RuntimeLeg:
         # dynamic-access-path extension.
         self.local_counts = [[0, 0] for _ in self.local_tests]
         self.probe_config: ProbeConfig | None = None
-        # Bumped on every compile_probe; the probe cache flushes when it
-        # observes a new epoch (reorders and driving switches change what a
-        # probe means — access predicate, residual set, positional filter).
+        # Bumped on every compile_probe; per-epoch memoized candidate groups
+        # are rebuilt when it moves (reorders and driving switches change
+        # what a probe means — access predicate, residual set, positional
+        # filter).
         self.probe_epoch = 0
         self.incoming_since_check = 0
         self.hash_policy = hash_policy
@@ -237,7 +238,7 @@ class RuntimeLeg:
         self._fast_scan_group: tuple | None = None
         self._fast_groups_gen: tuple | None = None
         # key -> (assembled probe record, entries, fetches, evals) for the
-        # lean no-residual/no-cache miss loop; same generation as above.
+        # lean no-residual probe loop; same generation as above.
         self._fast_probe_records: dict = {}
 
     @property
@@ -406,21 +407,19 @@ class RuntimeLeg:
         binding: Binding,
         vary_alias: str,
         outer_rows: Sequence[Row],
-        cache=None,
-    ) -> list[tuple[PreparedProbe, bool | None]]:
+    ) -> list[PreparedProbe]:
         """Resolve probes for many outer rows in one merged physical pass.
 
         *binding* must hold every preceding alias except that
         ``binding[vary_alias]`` is overwritten per outer row (and left at
         the last one — callers rebind it before use). Returns one
-        ``(PreparedProbe, hit)`` per outer row, in order; ``hit`` is None
-        when no cache is armed. **No side effects**: charges, monitor
-        records, and hooks happen later, in :meth:`replay_prepared`, at the
-        logical point the scalar path would have probed — that replay is
-        what keeps WorkMeter totals and Eq 5–11 estimates identical to
-        scalar execution at every observable point.
+        :class:`PreparedProbe` per outer row, in order. **No side effects**:
+        charges, monitor records, and hooks happen later, in
+        :meth:`replay_prepared`, at the logical point the scalar path would
+        have probed — that replay is what keeps WorkMeter totals and Eq 5–11
+        estimates identical to scalar execution at every observable point.
 
-        Index-access probes for all missed keys share a single merged
+        Index-access probes for all keys share a single merged
         left-to-right descent over the index (`lookup_rids_batch`), which
         is where the batch wall-clock win comes from.
         """
@@ -437,31 +436,22 @@ class RuntimeLeg:
         monitoring = self.monitoring_enabled
 
         # Pass 1 — per outer row, extract the probe key and residual outer
-        # values, consulting the cache. Only misses reach the index.
-        plan: list = [None] * len(outer_rows)
-        misses: list[tuple[int, Any, tuple, Any]] = []
+        # values.
+        probes: list[tuple[Any, tuple]] = []
         probe_keys: list = []
-        for i, outer in enumerate(outer_rows):
+        for outer in outer_rows:
             binding[vary_alias] = outer
             key = key_getter(binding) if key_getter is not None else None
-            if residual:
-                ovals = tuple(get_outer(binding) for get_outer, _ in residual)
-                # Flat cache key; shape is fixed per probe epoch and the
-                # cache flushes on epoch change, so shapes never mix.
-                ckey = (key,) + ovals
-            else:
-                ovals = ()
-                ckey = key
-            if cache is not None:
-                entry = cache.get(ckey)
-                if entry is not None:
-                    plan[i] = (entry, True)
-                    continue
-            misses.append((i, key, ovals, ckey))
+            ovals = (
+                tuple(get_outer(binding) for get_outer, _ in residual)
+                if residual
+                else ()
+            )
+            probes.append((key, ovals))
             if index is not None and key is not None:
                 probe_keys.append(key)
 
-        # Pass 2 — one merged descent resolves every distinct missed key.
+        # Pass 2 — one merged descent resolves every distinct key.
         rid_map = (
             index.lookup_rids_batch(probe_keys)
             if index is not None and probe_keys
@@ -473,8 +463,8 @@ class RuntimeLeg:
         raw = self.table.raw_rows()
         local_tests = self.local_tests
         positional = self.positional
-        hit_flag = False if cache is not None else None
-        for i, key, ovals, ckey in misses:
+        plan: list[PreparedProbe] = []
+        for key, ovals in probes:
             if index is not None:
                 if key is None:
                     # Scalar lookup_rids: descend charged, no entries walked.
@@ -523,7 +513,7 @@ class RuntimeLeg:
                             break
                 if ok:
                     matches.append(row)
-            prepared = PreparedProbe(
+            plan.append(PreparedProbe(
                 descends=descends,
                 entries=entry_count,
                 fetches=fetches,
@@ -541,10 +531,7 @@ class RuntimeLeg:
                     if deltas is not None
                     else None
                 ),
-            )
-            if cache is not None:
-                cache.put(ckey, prepared)
-            plan[i] = (prepared, hit_flag)
+            ))
         return plan
 
     def probe_batch_turbo(
@@ -552,7 +539,6 @@ class RuntimeLeg:
         binding: Binding,
         vary_alias: str,
         outer_rows: Sequence[Row],
-        cache=None,
     ) -> list[list[Row]]:
         """Charge-as-you-go :meth:`probe_batch` for unobserved static runs.
 
@@ -564,8 +550,7 @@ class RuntimeLeg:
         charges — and skips the entire :class:`PreparedProbe` replay
         machinery. Totals stay scalar-exact probe for probe; only the
         (unobservable) intermediate meter states differ, by at most one
-        chunk of lookahead. Returns one match list per outer row; cache hits
-        skip their physical charges exactly as in the replayed path.
+        chunk of lookahead. Returns one match list per outer row.
         """
         config = self.probe_config
         if config is None:
@@ -597,54 +582,14 @@ class RuntimeLeg:
                 for oalias, oslot in config.residual_sources
             )
 
-        out: list = [None] * len(outer_rows)
-        misses: list[tuple[int, Any, tuple, Any]] = []
-        probe_keys: list = []
-        hits = 0
-        centries = cache.entries if cache is not None else None
-        # Within-chunk duplicates: a sequential cached loop would miss on the
-        # first occurrence of a key and *hit* on every later one (the put
-        # happens before the next probe). The batch consults the cache before
-        # any put, so later occurrences must be folded onto the first
-        # explicitly or they'd repeat the full probe the scalar path skips.
-        pending: dict = {}
-        dups: list[tuple[int, int]] = []
-        single_res = len(oval_specs) == 1
-        if single_res:
-            ovaries, ospec = oval_specs[0]
-        for i, outer in enumerate(outer_rows):
-            key = outer[key_slot] if key_varies else key_const
-            if single_res:
-                # One residual source is the common chain-join shape; build
-                # the pair directly instead of via a generator round-trip.
-                oval = outer[ospec] if ovaries else ospec
-                ovals = (oval,)
-                ckey = (key, oval)
-            elif residual:
-                ovals = tuple(
-                    outer[spec] if varies else spec
-                    for varies, spec in oval_specs
-                )
-                ckey = (key,) + ovals
-            else:
-                ovals = ()
-                ckey = key
-            if centries is not None:
-                entry = centries.get(ckey)
-                if entry is not None:
-                    centries.move_to_end(ckey)
-                    out[i] = entry
-                    hits += 1
-                    continue
-                rep = pending.get(ckey)
-                if rep is not None:
-                    dups.append((i, rep))
-                    hits += 1
-                    continue
-                pending[ckey] = i
-            misses.append((i, key, ovals, ckey))
-            if index is not None and key is not None:
-                probe_keys.append(key)
+        probes = self._chunk_probes(
+            outer_rows, key_varies, key_slot, key_const, oval_specs
+        )
+        probe_keys = (
+            [key for key, _ in probes if key is not None]
+            if index is not None
+            else []
+        )
 
         local_tests = self.local_tests
         if self.positional is not None:
@@ -677,16 +622,14 @@ class RuntimeLeg:
         one_residual = len(residual) == 1
         if one_residual:
             res_slot = residual[0][1]
+        out: list[list[Row]] = []
         descends = entries = fetches = evals = 0
-        for i, key, ovals, ckey in misses:
+        for key, ovals in probes:
             if index is not None:
                 descends += 1
                 if key is None:
                     # Scalar lookup_rids: descend charged, no entries walked.
-                    matches: list[Row] = []
-                    out[i] = matches
-                    if cache is not None:
-                        cache.put(ckey, matches)
+                    out.append([])
                     continue
                 if groups is not None:
                     group = groups.get(key)
@@ -742,22 +685,52 @@ class RuntimeLeg:
                             break
                     else:
                         matches.append(row)
-            out[i] = matches
-            if cache is not None:
-                cache.put(ckey, matches)
-        for i, rep in dups:
-            out[i] = out[rep]
+            out.append(matches)
         meter = self.meter
         meter.index_descends += descends
         meter.index_entries += entries
         meter.row_fetches += fetches
         meter.predicate_evals += evals
-        if cache is not None:
-            cache.hits += hits
-            cache.misses += len(misses)
-            meter.probe_cache_hits += hits
-            meter.probe_cache_misses += len(misses)
         return out
+
+    @staticmethod
+    def _chunk_probes(
+        outer_rows: Sequence[Row],
+        key_varies: bool,
+        key_slot: int | None,
+        key_const: Any,
+        oval_specs: tuple,
+    ) -> list[tuple[Any, tuple]]:
+        """``(probe key, residual outer values)`` per outer row of a chunk.
+
+        *oval_specs* holds one ``(varies, slot-or-constant)`` pair per
+        residual join source, as resolved by the chunked probe paths.
+        """
+        if not oval_specs:
+            if key_varies:
+                return [(outer[key_slot], ()) for outer in outer_rows]
+            return [(key_const, ())] * len(outer_rows)
+        if len(oval_specs) == 1:
+            # One residual source is the common chain-join shape; build the
+            # pair directly instead of via a generator round-trip.
+            ovaries, ospec = oval_specs[0]
+            return [
+                (
+                    outer[key_slot] if key_varies else key_const,
+                    (outer[ospec] if ovaries else ospec,),
+                )
+                for outer in outer_rows
+            ]
+        return [
+            (
+                outer[key_slot] if key_varies else key_const,
+                tuple(
+                    outer[spec] if varies else spec
+                    for varies, spec in oval_specs
+                ),
+            )
+            for outer in outer_rows
+        ]
 
     def _turbo_scan_filtered(self) -> tuple:
         """Locally pre-filtered scan candidates for the turbo path.
@@ -811,13 +784,13 @@ class RuntimeLeg:
         self._turbo_groups_gen = gen
         return self._turbo_groups
 
-    def probe_turbo(self, binding: Binding, cache=None) -> list[Row]:
+    def probe_turbo(self, binding: Binding) -> list[Row]:
         """Single-probe twin of :meth:`probe_batch_turbo`.
 
         Deep pipeline positions mostly see one remaining outer row at a
         time (the parent's match list is short), where the batch scaffolding
-        costs more than it saves; this path does the same cache consult,
-        lookup, filter, and aggregate charges for exactly one outer binding.
+        costs more than it saves; this path does the same lookup, filter,
+        and aggregate charges for exactly one outer binding.
         Same legality conditions as :meth:`probe_batch_turbo`.
         """
         config = self.probe_config
@@ -832,26 +805,14 @@ class RuntimeLeg:
             if key_alias is not None
             else None
         )
-        if residual:
-            ovals = tuple(
+        ovals = (
+            tuple(
                 binding[oalias][oslot]
                 for oalias, oslot in config.residual_sources
             )
-            # Flat cache key: the shape is fixed per probe epoch, and the
-            # cache flushes on epoch change, so no ambiguity is possible.
-            ckey = (key,) + ovals
-        else:
-            ovals = ()
-            ckey = key
-        if cache is not None:
-            entries = cache.entries
-            entry = entries.get(ckey)
-            if entry is not None:
-                entries.move_to_end(ckey)
-                cache.hits += 1
-                meter.probe_cache_hits += 1
-                return entry
-            cache.misses += 1
+            if residual
+            else ()
+        )
         if self.positional is not None:
             # Positional predicates only exist after a driving switch, which
             # mode NONE never performs — the turbo path cannot reach here.
@@ -862,11 +823,7 @@ class RuntimeLeg:
         if index is not None:
             meter.index_descends += 1
             if key is None:
-                matches: list[Row] = []
-                if cache is not None:
-                    cache.put(ckey, matches)
-                    meter.probe_cache_misses += 1
-                return matches
+                return []
             if local_tests:
                 groups = self._turbo_filtered_if_warm(index)
                 if groups is not None:
@@ -929,9 +886,6 @@ class RuntimeLeg:
                 else:
                     matches.append(row)
             meter.predicate_evals += evals
-        if cache is not None:
-            cache.put(ckey, matches)
-            meter.probe_cache_misses += 1
         return matches
 
     def _fast_group_rows(
@@ -984,7 +938,6 @@ class RuntimeLeg:
         binding: Binding,
         vary_alias: str,
         outer_rows: Sequence[Row],
-        cache=None,
         defer: bool = False,
         bump_incoming: bool = True,
         aggregate: bool = False,
@@ -993,11 +946,11 @@ class RuntimeLeg:
 
         The amortized twin of :meth:`probe_batch` + :meth:`replay_prepared`
         for runs where nothing reads the work meter mid-query (no limits, no
-        observability, no faults): each chunk's physical charges, monitor
-        updates, and cache counters hit the meter once, up front, instead of
-        probe by probe. Per-probe counts stay scalar-exact — they are
-        *derived* from per-key candidate groups that replicate the scalar
-        short-circuit precisely — so final meter totals are identical; only
+        observability, no faults): each chunk's physical charges and monitor
+        updates hit the meter once, up front, instead of probe by probe.
+        Per-probe counts stay scalar-exact — they are *derived* from per-key
+        candidate groups that replicate the scalar short-circuit precisely —
+        so final meter totals are identical; only
         (unobservable) intermediate meter states run up to one chunk ahead.
 
         Monitor-window observations are what adaptation decisions read, so
@@ -1064,26 +1017,13 @@ class RuntimeLeg:
         groups = self._fast_groups
 
         n = len(outer_rows)
-        records: list = [None] * n
-        misses: list[tuple[int, Any, tuple, Any]] = []
+        records: list = []
+        probes: list[tuple[Any, tuple]] = []
         group_keys: list = []
-        hits = 0
-        centries = cache.entries if cache is not None else None
-        # Within-chunk duplicates fold onto the first occurrence when a
-        # cache is armed (same divergence contract as the turbo path: more
-        # savings than the sequential scalar cache, identical monitor
-        # observations). Without a cache every duplicate pays its full
-        # scalar charges, keeping uncached meter totals exact.
-        pending: dict = {}
-        dups: list[tuple[int, int]] = []
-        single_res = len(oval_specs) == 1
-        if single_res:
-            ovaries, ospec = oval_specs[0]
-        # Lean shape: no residual joins, no probe cache, indexed access. A
-        # key's full probe record is then a pure function of its memoized
-        # group, so the chunk needs only the key sequence — no per-row
-        # (i, key, ovals, ckey) tuples, no duplicate folding.
-        lean = index is not None and not residual and centries is None
+        # Lean shape: no residual joins, indexed access. A key's full probe
+        # record is then a pure function of its memoized group, so the
+        # chunk needs only the key sequence — no per-row (key, ovals) pairs.
+        lean = index is not None and not residual
         keys_seq: list | None = None
         key_set: set | None = None
         if lean:
@@ -1098,41 +1038,16 @@ class RuntimeLeg:
                 for key in key_set
                 if key is not None and key not in groups
             ]
-        for i, outer in () if lean else enumerate(outer_rows):
-            key = outer[key_slot] if key_varies else key_const
-            if single_res:
-                oval = outer[ospec] if ovaries else ospec
-                ovals = (oval,)
-                ckey = (key, oval)
-            elif residual:
-                ovals = tuple(
-                    outer[spec] if varies else spec
-                    for varies, spec in oval_specs
-                )
-                ckey = (key,) + ovals
-            else:
-                ovals = ()
-                ckey = key
-            if centries is not None:
-                entry = centries.get(ckey)
-                if entry is not None:
-                    centries.move_to_end(ckey)
-                    records[i] = entry
-                    hits += 1
-                    continue
-                rep = pending.get(ckey)
-                if rep is not None:
-                    dups.append((i, rep))
-                    hits += 1
-                    continue
-                pending[ckey] = i
-            misses.append((i, key, ovals, ckey))
-            if (
-                index is not None
-                and key is not None
-                and key not in groups
-            ):
-                group_keys.append(key)
+        else:
+            probes = self._chunk_probes(
+                outer_rows, key_varies, key_slot, key_const, oval_specs
+            )
+            if index is not None:
+                group_keys = [
+                    key
+                    for key, _ in probes
+                    if key is not None and key not in groups
+                ]
 
         # Resolve candidate groups for keys not yet memoized: one merged
         # descent over the index, then one filtering pass per new key —
@@ -1241,15 +1156,12 @@ class RuntimeLeg:
                         pair = lean_deltas[slot]
                         pair[0] += evaluated * n
                         pair[1] += passed * n
-        for i, key, ovals, ckey in misses:
+        for key, ovals in probes:
             if index is not None:
                 descends += 1
                 if key is None:
                     # Scalar lookup_rids(None): descend charged, no entries.
-                    record = ([], 0, INDEX_DESCEND_COST, None)
-                    records[i] = record
-                    if cache is not None:
-                        cache.put(ckey, record)
+                    records.append(([], 0, INDEX_DESCEND_COST, None))
                     continue
                 rows, base_evals, count, deltas = groups[key]
                 probe_entries = count if count else 1
@@ -1289,23 +1201,13 @@ class RuntimeLeg:
                 + probe_fetches * ROW_FETCH_COST
                 + evals * PREDICATE_EVAL_COST
             )
-            record = (matches, count, work, deltas)
-            records[i] = record
-            if cache is not None:
-                cache.put(ckey, record)
-        for i, rep in dups:
-            records[i] = records[rep]
+            records.append((matches, count, work, deltas))
 
         meter = self.meter
         meter.index_descends += descends
         meter.index_entries += entries
         meter.row_fetches += fetches
         meter.predicate_evals += evals_total
-        if cache is not None:
-            cache.hits += hits
-            cache.misses += len(misses)
-            meter.probe_cache_hits += hits
-            meter.probe_cache_misses += len(misses)
         if not self.monitoring_enabled:
             if defer:
                 return records
@@ -1386,27 +1288,19 @@ class RuntimeLeg:
             self.incoming_since_check += 1
         return matches
 
-    def replay_prepared(
-        self, prepared: PreparedProbe, hit: bool | None
-    ) -> list[Row]:
+    def replay_prepared(self, prepared: PreparedProbe) -> list[Row]:
         """Apply a prepared probe's deferred accounting; return its matches.
 
         Mirrors the observable tail of :meth:`probe`: execution-unit
-        charges (skipped on a cache hit — the documented savings), the
-        monitor's ``record_probe`` with the probe's full work (identical on
-        hits, so estimates never diverge), the local-predicate counters,
-        ``incoming_since_check``, and the observability hook.
+        charges, the monitor's ``record_probe`` with the probe's work, the
+        local-predicate counters, ``incoming_since_check``, and the
+        observability hook.
         """
         meter = self.meter
-        if hit:
-            meter.charge_probe_cache(True)
-        else:
-            if hit is not None:
-                meter.charge_probe_cache(False)
-            meter.index_descends += prepared.descends
-            meter.index_entries += prepared.entries
-            meter.row_fetches += prepared.fetches
-            meter.predicate_evals += prepared.evals
+        meter.index_descends += prepared.descends
+        meter.index_entries += prepared.entries
+        meter.row_fetches += prepared.fetches
+        meter.predicate_evals += prepared.evals
         matches = prepared.matches
         if self.monitoring_enabled:
             try:
@@ -1427,8 +1321,6 @@ class RuntimeLeg:
                 self._degrade_monitoring(exc)
         if self.obs is not None:
             self.obs.on_probe(self.alias, prepared.index_matches, len(matches))
-            if hit is not None:
-                self.obs.on_probe_cache(self.alias, hit)
         return matches
 
     def _retry_hook(self, site: str):

@@ -12,8 +12,7 @@ work into batches:
   :meth:`~repro.executor.access.RuntimeLeg.probe_batch` call;
 * deeper inner legs batch over the parent's match list the same way;
 * ``probe_batch`` sorts the batch's join keys and resolves them with one
-  merged left-to-right descent over the index, and an optional per-leg LRU
-  :class:`~repro.executor.probecache.ProbeCache` memoizes repeated keys.
+  merged left-to-right descent over the index.
 
 **Semantics lock.** Batching must not change results, work accounting, or
 adaptation. Three rules enforce that:
@@ -52,7 +51,6 @@ from repro.core.controller import AdaptationController
 from repro.errors import ExecutionError
 from repro.executor.access import RuntimeLeg
 from repro.executor.pipeline import PipelineExecutor, _NoAdaptation
-from repro.executor.probecache import ProbeCache
 from repro.executor.vector import adaptive_cascade, vector_cascade
 from repro.robustness.guard import SandboxedController
 from repro.storage.cursor import IndexScanCursor
@@ -249,12 +247,6 @@ class BatchedPipelineExecutor(PipelineExecutor):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        size = self.config.probe_cache_size
-        self.probe_caches: dict[str, ProbeCache] = (
-            {alias: ProbeCache(size) for alias in self.plan.order}
-            if size > 0
-            else {}
-        )
         # Why (if) this execution ran scalar; None means fully batched.
         self.batch_fallback_reason: str | None = None
 
@@ -276,14 +268,6 @@ class BatchedPipelineExecutor(PipelineExecutor):
             # safe-window bounds don't model; stay scalar for correctness.
             return "unrecognized adaptation controller"
         return None
-
-    def _cache_for(self, alias: str) -> ProbeCache | None:
-        cache = self.probe_caches.get(alias)
-        if cache is None:
-            return None
-        leg = self.legs[alias]
-        cache.ensure(leg.probe_epoch, leg.table.version)
-        return cache
 
     # ------------------------------------------------------------------
     def _run(self) -> Iterator[tuple]:
@@ -382,8 +366,7 @@ class BatchedPipelineExecutor(PipelineExecutor):
                             "batched executor: driving lookahead diverged "
                             f"from the cursor on leg {self.order[0]!r}"
                         )
-                    entry, hit = prepared[1].popleft()
-                    match_rows[1] = leg.replay_prepared(entry, hit)
+                    match_rows[1] = leg.replay_prepared(prepared[1].popleft())
                 else:
                     match_rows[1] = leg.probe(binding)
                 match_idx[1] = 0
@@ -421,8 +404,7 @@ class BatchedPipelineExecutor(PipelineExecutor):
                     last, batch_size, check_freq, mode,
                 )
             if pending:
-                entry, hit = pending.popleft()
-                match_rows[position] = leg.replay_prepared(entry, hit)
+                match_rows[position] = leg.replay_prepared(pending.popleft())
             else:
                 match_rows[position] = leg.probe(binding)
             match_idx[position] = 0
@@ -471,14 +453,6 @@ class BatchedPipelineExecutor(PipelineExecutor):
         a_last = aliases[last]
         first_leg = legs[1]
         first_batchable = batchable[1]
-        # Per-position caches, generation-checked once per driving chunk
-        # (probe epochs never move in mode NONE; heap versions only move if
-        # the consumer mutates tables between yields, which also requires an
-        # index refresh — the chunk-granular ensure covers that window).
-        caches: list = [None] * leg_count
-        for p in range(1, leg_count):
-            if batchable[p]:
-                caches[p] = self.probe_caches.get(aliases[p])
 
         # Upcoming driving rows, aligned with pending[1]'s match lists.
         expected: deque[Row] = deque()
@@ -496,18 +470,10 @@ class BatchedPipelineExecutor(PipelineExecutor):
                     if not chunk:
                         self.depleted_from = 0
                         return
-                    for p in range(1, leg_count):
-                        cache_p = caches[p]
-                        if cache_p is not None:
-                            cache_p.ensure(
-                                legs[p].probe_epoch, legs[p].table.version
-                            )
                     expected.extend(chunk)
                     if first_batchable:
                         pending[1].extend(
-                            first_leg.probe_batch_turbo(
-                                binding, a0, chunk, caches[1]
-                            )
+                            first_leg.probe_batch_turbo(binding, a0, chunk)
                         )
                 row = expected.popleft()
                 self.driving_rows_since_check += 1
@@ -551,13 +517,11 @@ class BatchedPipelineExecutor(PipelineExecutor):
                     if remaining == 1:
                         # One remaining outer: the batch scaffolding costs
                         # more than it saves.
-                        matches = leg.probe_turbo(binding, caches[nxt])
+                        matches = leg.probe_turbo(binding)
                     else:
                         outers = rows_list[idx : idx + batch]
                         pend.extend(
-                            leg.probe_batch_turbo(
-                                binding, alias, outers, caches[nxt]
-                            )
+                            leg.probe_batch_turbo(binding, alias, outers)
                         )
                         binding[alias] = row
                         matches = pend.popleft()
@@ -856,8 +820,7 @@ class BatchedPipelineExecutor(PipelineExecutor):
         full batch size and checks are deferred to chunk boundaries by the
         caller's gates instead.
         """
-        first_alias = self.order[1]
-        first_leg = self.legs[first_alias]
+        first_leg = self.legs[self.order[1]]
         probe_config = first_leg.probe_config
         if probe_config is None or probe_config.hash_column is not None:
             return shadow  # hash legs prepare nothing; probe directly
@@ -880,7 +843,6 @@ class BatchedPipelineExecutor(PipelineExecutor):
             pending[1].extend(
                 first_leg.probe_batch_fast(
                     binding, driving_alias, rows,
-                    self._cache_for(first_alias),
                     defer=scheme == self._OBS_DEFER,
                     bump_incoming=scheme == self._OBS_BULK,
                     aggregate=chunked,
@@ -930,7 +892,7 @@ class BatchedPipelineExecutor(PipelineExecutor):
             outers = [current]
         pending[position].extend(
             leg.probe_batch_fast(
-                binding, parent_alias, outers, self._cache_for(alias),
+                binding, parent_alias, outers,
                 defer=scheme == self._OBS_DEFER,
                 bump_incoming=scheme == self._OBS_BULK,
                 aggregate=chunked,
@@ -958,8 +920,7 @@ class BatchedPipelineExecutor(PipelineExecutor):
         inner-reorder check) so no prepared probe can outlive a pipeline
         permutation.
         """
-        first_alias = self.order[1]
-        first_leg = self.legs[first_alias]
+        first_leg = self.legs[self.order[1]]
         probe_config = first_leg.probe_config
         if probe_config is None or probe_config.hash_column is not None:
             return shadow  # hash legs replay nothing; probe directly
@@ -981,9 +942,7 @@ class BatchedPipelineExecutor(PipelineExecutor):
             driving_alias = self.order[0]
             saved = binding.get(driving_alias)
             prepared[1].extend(
-                first_leg.probe_batch(
-                    binding, driving_alias, rows, self._cache_for(first_alias)
-                )
+                first_leg.probe_batch(binding, driving_alias, rows)
             )
             if saved is not None:
                 binding[driving_alias] = saved
@@ -1029,6 +988,6 @@ class BatchedPipelineExecutor(PipelineExecutor):
         else:
             outers = [current]
         prepared[position].extend(
-            leg.probe_batch(binding, parent_alias, outers, self._cache_for(alias))
+            leg.probe_batch(binding, parent_alias, outers)
         )
         binding[parent_alias] = current

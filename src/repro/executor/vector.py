@@ -20,8 +20,8 @@ layered array computation:
    evals), summed per leg.
 
 Gates are strict — any unsupported shape returns ``None`` and the generic
-turbo loop runs instead. In particular the cascade requires: numpy, no
-probe caches, columnar tables and indexes on every leg, index-equality
+turbo loop runs instead. In particular the cascade requires: numpy,
+columnar tables and indexes on every leg, index-equality
 probes with no residual joins, no positional predicates, and vectorizable
 local predicates everywhere. Partitioned (and resumed) driving cursors are
 supported: the driving walk clamps each key range to the cursor's
@@ -130,9 +130,6 @@ def vector_cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     """
     if _np is None:
         executor.vector_gate_reason = "numpy unavailable (stdlib fallback)"
-        return None
-    if executor.probe_caches:
-        executor.vector_gate_reason = "probe cache armed (--probe-cache)"
         return None
     order = list(executor.order)
     if len(order) < 2:
@@ -442,9 +439,6 @@ def adaptive_cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     """
     if _np is None:
         executor.vector_gate_reason = "numpy unavailable (stdlib fallback)"
-        return None
-    if executor.probe_caches:
-        executor.vector_gate_reason = "probe cache armed (--probe-cache)"
         return None
     if len(executor.order) < 2:
         executor.vector_gate_reason = "single-leg pipeline"

@@ -215,7 +215,13 @@ class IndexScanCursor:
         self.entries_yielded = 0
 
     def _entries(self) -> Iterator[tuple[Any, int]]:
+        # Charges what ``index.scan_range`` charges — a descend per range
+        # entered, an entry touch per entry walked — except that the first
+        # entry at or past ``stop_at`` ends the walk uncharged: it is the
+        # next partition's first entry, charged by the cursor that owns it.
+        index = self.index
         start = self._start_after
+        stop = self.stop_at
         for key_range in self.ranges:
             entry_start = None
             if start is not None:
@@ -226,13 +232,20 @@ class IndexScanCursor:
                 ):
                     continue
                 entry_start = (start[0], start[1])
-            yield from self.index.scan_range(
+            index._check_fresh()
+            meter = index.meter
+            meter.charge_index_descend()
+            for entry in index.peek_range(
                 low=key_range.low,
                 high=key_range.high,
                 low_inclusive=key_range.low_inclusive,
                 high_inclusive=key_range.high_inclusive,
                 start_after=entry_start,
-            )
+            ):
+                if stop is not None and entry >= stop:
+                    return
+                meter.charge_index_entries(1)
+                yield entry
 
     def __iter__(self) -> Iterator[tuple[int, Row]]:
         return self
@@ -252,11 +265,6 @@ class IndexScanCursor:
             except StopIteration:
                 self.exhausted = True
                 raise
-        if self.stop_at is not None and (key, rid) >= self.stop_at:
-            # First entry of the next partition: this cursor's slice of the
-            # (key, RID) order is drained.
-            self.exhausted = True
-            raise StopIteration
         row = self.index.table.fetch(rid)
         self.last_position = (key, rid)
         self.entries_yielded += 1

@@ -1,8 +1,8 @@
 """Differential tests: the columnar backend is observably the row store.
 
 The storage backend is an implementation detail below the executor's
-semantics: for every reorder mode, batch setting, worker count, and
-probe-cache setting, the columnar backend must produce
+semantics: for every reorder mode, batch setting, and worker count, the
+columnar backend must produce
 
 * identical result rows **in identical order**,
 * an identical final :class:`~repro.storage.counters.WorkMeter` (the
@@ -41,13 +41,7 @@ CONFIGS = [
     ("scalar", {}),
     ("batched", {"batched": True}),
     ("batched-64", {"batched": True, "batch_size": 64}),
-    ("cached", {"batched": True, "probe_cache_size": 256}),
     ("chunk", {"batched": True, "monitor_granularity": "chunk"}),
-    ("chunk-cached", {
-        "batched": True,
-        "monitor_granularity": "chunk",
-        "probe_cache_size": 256,
-    }),
     ("workers-2", {"batched": True, "workers": 2}),
     ("workers-2-chunk", {
         "batched": True,
@@ -174,6 +168,43 @@ def test_parallel_vector_engines_engage(columnar_db, workload, workers):
                     stats.vector_gate
                     == "numpy unavailable (stdlib fallback)"
                 )
+
+
+@pytest.mark.parametrize("backend", ["row", "columnar"])
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+@pytest.mark.parametrize("workers", [2, 4])
+def test_static_partitions_charge_serial_work(
+    row_db, columnar_db, backend, batched, workers
+):
+    """Mode NONE partitioned runs charge exactly the serial run's work.
+
+    A partition-bounded driving cursor ends its index walk before the next
+    partition's first entry, so index-entry touches across partitions sum
+    to the serial walk on every engine. The one documented divergence is
+    one index descend per extra partition: each bounded cursor seeks into
+    the (here single) driving key range it resumes.
+    """
+    db = row_db if backend == "row" else columnar_db
+    for sql in SMALL_QUERIES:
+        serial = db.execute(sql, AdaptiveConfig(mode=ReorderMode.NONE))
+        parallel = db.execute(
+            sql,
+            AdaptiveConfig(
+                mode=ReorderMode.NONE, batched=batched, workers=workers
+            ),
+        )
+        tag = f"{backend} batched={batched} workers={workers}: {sql[:60]}"
+        assert parallel.stats.engine == "parallel", tag
+        assert parallel.rows == serial.rows, tag
+        extra_partitions = len(parallel.stats.worker_engines) - 1
+        assert extra_partitions > 0, tag
+        expected = dataclasses.replace(
+            serial.stats.work,
+            index_descends=serial.stats.work.index_descends + extra_partitions,
+        )
+        assert dataclasses.asdict(parallel.stats.work) == dataclasses.asdict(
+            expected
+        ), tag
 
 
 def test_parallel_warmup_kernel_gauge(columnar_db, workload):
