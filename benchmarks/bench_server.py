@@ -7,9 +7,12 @@ workload, then reports
 * throughput (queries/second) and end-to-end latency percentiles
   (p50/p95/p99, measured per request at the client),
 * the server-path overhead versus executing the same statements serially
-  through :meth:`Database.execute` (protocol + scheduling + threading
-  cost; the engine itself is GIL-bound, so this factor should sit near
-  1.0, not near 1/concurrency),
+  through :meth:`Database.execute` with the configuration and limits the
+  server's admission control applies to each of them (protocol +
+  scheduling + threading cost; the engine itself is GIL-bound, so this
+  factor should sit near 1.0, not near 1/concurrency). Serial and server
+  phases alternate for ``REPS`` repetitions and each side keeps its
+  fastest, so a slow stretch of the host does not land on one side only,
 * the shared plan-cache hit rate across the run.
 
 Every response is verified: all requests must succeed and return the
@@ -42,7 +45,9 @@ import time
 from repro.bench.runner import write_json_atomic
 from repro.core.config import AdaptiveConfig
 from repro.dmv import four_table_workload, load_dmv
-from repro.server import QueryServer, ServerConfig
+from repro.server import AdmissionController, QueryServer, ServerConfig
+from repro.server.admission import SHED_NONE
+from repro.server.protocol import QueryRequest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_speedup.json"
@@ -54,6 +59,9 @@ REGRESSION_TOLERANCE = 0.90
 #: --check fails when the server path exceeds serial wall time by more
 #: than this factor (protocol/scheduling overhead budget).
 OVERHEAD_TOLERANCE = 2.0
+
+#: Alternating serial/server repetitions behind the overhead factor.
+REPS = 3
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -107,6 +115,28 @@ async def drive(
     return latencies, failures
 
 
+def serial_phase(
+    db,
+    admission: AdmissionController,
+    workload: list[tuple[str, list]],
+    total_requests: int,
+) -> float:
+    """Wall seconds to execute the request mix back to back in-process.
+
+    Each statement runs under the configuration and limits the server
+    applies to it at the mildest shed level, so the overhead factor
+    compares the same engine work with and without the serving path.
+    """
+    started = time.perf_counter()
+    for n in range(total_requests):
+        sql = workload[n % len(workload)][0]
+        request = QueryRequest(sql=sql)
+        applied = admission.apply_shed(request, SHED_NONE)
+        limits, _ = admission.build_limits(request, applied)
+        db.execute(sql, applied, limits=limits)
+    return time.perf_counter() - started
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.05)
@@ -153,17 +183,12 @@ def main(argv: list[str] | None = None) -> int:
         )
     ]
 
-    # Serial baseline: rows for verification, wall time for the overhead
-    # factor over the exact request mix the clients will fire.
+    # Reference rows for verification, from the plain serial engine.
     workload: list[tuple[str, list]] = []
     for sql in statements:
         result = db.execute(sql, AdaptiveConfig())
         workload.append((sql, sorted(result.rows)))
     total_requests = args.clients * args.requests_per_client
-    serial_started = time.perf_counter()
-    for n in range(total_requests):
-        db.execute(workload[n % len(workload)][0], AdaptiveConfig())
-    serial_wall = time.perf_counter() - serial_started
 
     config = ServerConfig(
         port=0,
@@ -171,6 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         max_queue_depth=max(64, 4 * args.clients),
         max_queue_per_session=args.requests_per_client + 1,
     )
+    admission = AdmissionController(config)
 
     async def run():
         server = QueryServer(db, config)
@@ -186,7 +212,27 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             await server.shutdown(grace=2.0)
 
-    latencies, failures, wall, stats = asyncio.run(run())
+    # Interleaved min-of-reps: serial and server phases alternate order
+    # per rep; each side keeps its fastest rep (the server's latencies and
+    # stats come from its fastest rep, failures from every rep).
+    serial_wall = float("inf")
+    wall = float("inf")
+    failures: list[str] = []
+    for rep in range(REPS):
+        phases = ("serial", "server") if rep % 2 == 0 else ("server", "serial")
+        for phase in phases:
+            if phase == "serial":
+                serial_wall = min(
+                    serial_wall,
+                    serial_phase(db, admission, workload, total_requests),
+                )
+                continue
+            rep_latencies, rep_failures, rep_wall, rep_stats = asyncio.run(
+                run()
+            )
+            failures.extend(rep_failures)
+            if rep_wall < wall:
+                latencies, wall, stats = rep_latencies, rep_wall, rep_stats
     db.close()
 
     cache = stats["plan_cache"]
@@ -196,6 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         "clients": args.clients,
         "max_concurrency": args.max_concurrency,
         "requests": total_requests,
+        "reps": REPS,
         "wall_seconds": wall,
         "qps": total_requests / wall,
         "latency_ms": {

@@ -3,7 +3,7 @@
 Measures two executor variants of the same workload per reorder mode:
 
 * ``scalar``  — the row-at-a-time pipeline (the paper's executor),
-* ``batched`` — driving-leg batches + merged-descent ``probe_batch``;
+* ``batched`` — driving-leg chunks + merged-descent batch probes;
   monitored modes run it with ``monitor_granularity="chunk"`` (the fast
   adaptive mode: O(1)-per-chunk window updates, checks at chunk
   boundaries).

@@ -100,7 +100,6 @@ SCHEMA = {
 #: per-query ``ExecutionStats.engine`` values).
 KNOWN_ENGINES = {
     "scalar",
-    "batched",
     "turbo",
     "vector",
     "fast",

@@ -403,17 +403,18 @@ def _warn_vector_gate(result, cli_args) -> None:
     if getattr(cli_args, "backend", "row") != "columnar":
         return
     stats = result.stats
+    # Any engine that is not a cascade warns when a gate is named (an
+    # unbatched run names none: it never promised the cascade);
     # "vector-adaptive+fast" is a mid-query handoff, not an option
-    # problem; scalar runs never promised the cascade. Parallel runs
-    # report per-partition engines: warn only when NO partition (nor the
-    # serial continuation) ran a cascade — a partial demotion is a
-    # per-worker gate, not an option problem.
+    # problem. Parallel runs report per-partition engines: warn only when
+    # NO partition (nor the serial continuation) ran a cascade — a
+    # partial demotion is a per-worker gate, not an option problem.
     if stats.engine == "parallel":
         if not stats.worker_engines or any(
             engine.startswith("vector") for engine in stats.worker_engines
         ):
             return
-    elif stats.engine not in ("batched", "turbo", "fast"):
+    elif stats.engine.startswith("vector"):
         return
     if stats.vector_gate is None:
         return

@@ -83,10 +83,11 @@ class AdaptiveConfig:
     # Monitored estimates are trusted only after a leg has seen this many
     # incoming rows; before that, optimizer priors are blended in.
     warmup_rows: int = 10
-    # Run the vectorized executor: driving rows are read ahead in batches
-    # and inner legs are resolved through probe_batch()'s merged index
-    # descents. Semantics-preserving — results, work accounting, and
-    # adaptation decisions are identical to the scalar path.
+    # Run the batched executor: driving rows are read ahead in chunks and
+    # inner legs are resolved a chunk at a time (or by the columnar
+    # cascades). Semantics-preserving — results, work accounting, and
+    # adaptation decisions are identical to the scalar path. Runs with
+    # execution limits or hot observability take the scalar path.
     batched: bool = False
     # Target batch width for the batched path (the lookahead shrinks near
     # reorder-check boundaries so adaptation points are never overrun).

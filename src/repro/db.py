@@ -99,13 +99,13 @@ class ExecutionStats:
     critical_path_work: float | None = None
     # How many worker processes executed partitions (1 = serial).
     workers: int = 1
-    # Which execution engine ran the pipeline: "scalar", "batched",
-    # "turbo", "vector", "fast", "vector-adaptive", "vector-adaptive+fast",
-    # or "parallel" for partitioned runs.
+    # Which execution engine ran the pipeline: "scalar", "turbo", "vector",
+    # "fast", "vector-adaptive", "vector-adaptive+fast", or "parallel" for
+    # partitioned runs.
     engine: str = "scalar"
     # Why the vectorized cascade did NOT run (first failed gate), when the
-    # batched path fell back to a generic loop; None when it ran or was
-    # never a candidate. For parallel runs this is the first gate reason
+    # batched path fell back to a chunked loop or the scalar loop; None
+    # when it ran or was never a candidate. For parallel runs this is the first gate reason
     # any partition (or the serial continuation) reported.
     vector_gate: str | None = None
     # Parallel partitioned execution only: the engine each partition ran,

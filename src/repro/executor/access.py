@@ -71,35 +71,6 @@ class ProbeConfig:
     residual_sources: tuple[tuple[str, int], ...] = ()
 
 
-@dataclass(slots=True)
-class PreparedProbe:
-    """A resolved probe whose accounting has not been applied yet.
-
-    ``probe_batch`` does the physical work (index descent, heap fetches,
-    predicate evaluation) ahead of time with **no observable side effects**;
-    everything the scalar :meth:`RuntimeLeg.probe` would have touched — the
-    work meter, the leg monitor, the per-predicate local counts, the
-    observability hook — is captured here and replayed by
-    :meth:`RuntimeLeg.replay_prepared` at the exact logical point the scalar
-    path would have probed. ``work`` is the probe's execution-unit total
-    (``descends*4 + entries*1 + fetches*2 + evals*0.25``), which equals the
-    scalar path's before/after ``execution_units`` delta exactly (all
-    weights are multiples of 0.25, far below float precision limits).
-    """
-
-    descends: int
-    entries: int
-    fetches: int
-    evals: int
-    index_matches: int
-    matches: list[Row]
-    work: float
-    # Per-local-predicate (evaluated, passed) deltas, parallel to
-    # local_tests; None when nothing was counted (monitoring off or no
-    # local predicates).
-    local_deltas: tuple[tuple[int, int], ...] | None
-
-
 class RuntimeLeg:
     """Run-time state of one table in the pipeline."""
 
@@ -400,156 +371,23 @@ class RuntimeLeg:
         return matches
 
     # ------------------------------------------------------------------
-    # Batched inner-leg role (the vectorized executor)
+    # Batched inner-leg role (the chunked executor loops)
     # ------------------------------------------------------------------
-    def probe_batch(
-        self,
-        binding: Binding,
-        vary_alias: str,
-        outer_rows: Sequence[Row],
-    ) -> list[PreparedProbe]:
-        """Resolve probes for many outer rows in one merged physical pass.
-
-        *binding* must hold every preceding alias except that
-        ``binding[vary_alias]`` is overwritten per outer row (and left at
-        the last one — callers rebind it before use). Returns one
-        :class:`PreparedProbe` per outer row, in order. **No side effects**:
-        charges, monitor records, and hooks happen later, in
-        :meth:`replay_prepared`, at the logical point the scalar path would
-        have probed — that replay is what keeps WorkMeter totals and Eq 5–11
-        estimates identical to scalar execution at every observable point.
-
-        Index-access probes for all keys share a single merged
-        left-to-right descent over the index (`lookup_rids_batch`), which
-        is where the batch wall-clock win comes from.
-        """
-        config = self.probe_config
-        if config is None:
-            raise ExecutionError(f"leg {self.alias!r} has no probe config")
-        if config.hash_column is not None:
-            raise ExecutionError(
-                f"leg {self.alias!r}: hash probes are not batchable"
-            )
-        key_getter = config.key_getter
-        residual = config.residual_joins
-        index = config.access_index
-        monitoring = self.monitoring_enabled
-
-        # Pass 1 — per outer row, extract the probe key and residual outer
-        # values.
-        probes: list[tuple[Any, tuple]] = []
-        probe_keys: list = []
-        for outer in outer_rows:
-            binding[vary_alias] = outer
-            key = key_getter(binding) if key_getter is not None else None
-            ovals = (
-                tuple(get_outer(binding) for get_outer, _ in residual)
-                if residual
-                else ()
-            )
-            probes.append((key, ovals))
-            if index is not None and key is not None:
-                probe_keys.append(key)
-
-        # Pass 2 — one merged descent resolves every distinct key.
-        rid_map = (
-            index.lookup_rids_batch(probe_keys)
-            if index is not None and probe_keys
-            else {}
-        )
-
-        # Pass 3 — filter candidates exactly as the scalar probe would,
-        # counting (not yet charging) the work it would have metered.
-        raw = self.table.raw_rows()
-        local_tests = self.local_tests
-        positional = self.positional
-        plan: list[PreparedProbe] = []
-        for key, ovals in probes:
-            if index is not None:
-                if key is None:
-                    # Scalar lookup_rids: descend charged, no entries walked.
-                    rids: Sequence[int] = ()
-                    descends, entry_count, fetches = 1, 0, 0
-                else:
-                    rids = rid_map[key]
-                    descends = 1
-                    entry_count = max(len(rids), 1)
-                    fetches = len(rids)
-            else:
-                # Scan probe: every heap row is fetched as a candidate.
-                rids = range(len(raw))
-                descends, entry_count, fetches = 0, 0, len(raw)
-            index_matches = len(rids)
-            evals = 0
-            matches: list[Row] = []
-            deltas = (
-                [[0, 0] for _ in local_tests]
-                if monitoring and local_tests
-                else None
-            )
-            for rid in rids:
-                row = raw[rid]
-                ok = True
-                for slot, (_, test) in enumerate(local_tests):
-                    evals += 1
-                    passed = test(row)
-                    if deltas is not None:
-                        pair = deltas[slot]
-                        pair[0] += 1
-                        pair[1] += 1 if passed else 0
-                    if not passed:
-                        ok = False
-                        break
-                if ok and positional is not None:
-                    evals += 1
-                    if not positional.test(rid, row):
-                        ok = False
-                if ok:
-                    for j, (_, slot) in enumerate(residual):
-                        evals += 1
-                        cell = row[slot]
-                        if cell is None or cell != ovals[j]:
-                            ok = False
-                            break
-                if ok:
-                    matches.append(row)
-            plan.append(PreparedProbe(
-                descends=descends,
-                entries=entry_count,
-                fetches=fetches,
-                evals=evals,
-                index_matches=index_matches,
-                matches=matches,
-                work=(
-                    descends * INDEX_DESCEND_COST
-                    + entry_count * INDEX_ENTRY_COST
-                    + fetches * ROW_FETCH_COST
-                    + evals * PREDICATE_EVAL_COST
-                ),
-                local_deltas=(
-                    tuple((pair[0], pair[1]) for pair in deltas)
-                    if deltas is not None
-                    else None
-                ),
-            ))
-        return plan
-
     def probe_batch_turbo(
         self,
         binding: Binding,
         vary_alias: str,
         outer_rows: Sequence[Row],
     ) -> list[list[Row]]:
-        """Charge-as-you-go :meth:`probe_batch` for unobserved static runs.
+        """Resolve and charge one chunk of probes for unobserved static runs.
 
         Only legal when *nothing can observe intermediate meter state*: mode
         ``NONE`` (no monitors, no reorder checks), no execution limits, no
-        observability, no oracle, no faults. Under those conditions the work
-        meter is read once, at query end, so charging each chunk's aggregate
-        up front is observably identical to the scalar path's per-probe
-        charges — and skips the entire :class:`PreparedProbe` replay
-        machinery. Totals stay scalar-exact probe for probe; only the
-        (unobservable) intermediate meter states differ, by at most one
+        hot observability, no oracle, no faults. Under those conditions the
+        work meter is read once, at query end, so charging each chunk's
+        aggregate up front is observably identical to the scalar path's
+        per-probe charges. Totals stay scalar-exact probe for probe; only
+        the (unobservable) intermediate meter states differ, by at most one
         chunk of lookahead. Returns one match list per outer row.
         """
         config = self.probe_config
@@ -944,8 +782,8 @@ class RuntimeLeg:
     ) -> list:
         """Monitored batch probe with chunk-aggregated accounting.
 
-        The amortized twin of :meth:`probe_batch` + :meth:`replay_prepared`
-        for runs where nothing reads the work meter mid-query (no limits, no
+        The amortized twin of per-row :meth:`probe` calls for runs where
+        nothing reads the work meter mid-query (no limits, no hot
         observability, no faults): each chunk's physical charges and monitor
         updates hit the meter once, up front, instead of probe by probe.
         Per-probe counts stay scalar-exact — they are *derived* from per-key
@@ -1286,41 +1124,6 @@ class RuntimeLeg:
                     counts[0] += evaluated
                     counts[1] += passed
             self.incoming_since_check += 1
-        return matches
-
-    def replay_prepared(self, prepared: PreparedProbe) -> list[Row]:
-        """Apply a prepared probe's deferred accounting; return its matches.
-
-        Mirrors the observable tail of :meth:`probe`: execution-unit
-        charges, the monitor's ``record_probe`` with the probe's work, the
-        local-predicate counters, ``incoming_since_check``, and the
-        observability hook.
-        """
-        meter = self.meter
-        meter.index_descends += prepared.descends
-        meter.index_entries += prepared.entries
-        meter.row_fetches += prepared.fetches
-        meter.predicate_evals += prepared.evals
-        matches = prepared.matches
-        if self.monitoring_enabled:
-            try:
-                deltas = prepared.local_deltas
-                if deltas is not None:
-                    counts_list = self.local_counts
-                    for slot, (evaluated, passed) in enumerate(deltas):
-                        if evaluated:
-                            counts = counts_list[slot]
-                            counts[0] += evaluated
-                            counts[1] += passed
-                self.monitor.record_probe(
-                    prepared.index_matches, len(matches), prepared.work
-                )
-                meter.charge_monitor_update()
-                self.incoming_since_check += 1
-            except Exception as exc:
-                self._degrade_monitoring(exc)
-        if self.obs is not None:
-            self.obs.on_probe(self.alias, prepared.index_matches, len(matches))
         return matches
 
     def _retry_hook(self, site: str):

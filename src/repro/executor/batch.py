@@ -1,51 +1,53 @@
-"""The vectorized (batched) execution path of the pipelined NLJN executor.
+"""The chunked execution paths of the pipelined NLJN executor.
 
 The scalar :class:`~repro.executor.pipeline.PipelineExecutor` walks one row
 at a time through a Python state machine, so interpreter overhead — not
 index work — dominates wall-clock time. This module keeps the state machine
 (and therefore every adaptation decision point) but moves the *physical*
-work into batches:
+work into chunks:
 
-* the driving leg is read ahead through an uncharged :class:`DrivingShadow`
-  that predicts the next ``batch_size`` surviving rows without touching the
-  real cursor, and the first inner leg is resolved for all of them in one
-  :meth:`~repro.executor.access.RuntimeLeg.probe_batch` call;
+* the driving leg is read ahead a chunk at a time — charged in aggregate by
+  :class:`TurboDrivingScan` (mode NONE) or predicted by the uncharged
+  :class:`DrivingShadow` (monitored modes) — and the first inner leg is
+  resolved for the whole chunk in one batch probe;
 * deeper inner legs batch over the parent's match list the same way;
-* ``probe_batch`` sorts the batch's join keys and resolves them with one
-  merged left-to-right descent over the index.
+* on the columnar backend the whole-query cascades of
+  :mod:`repro.executor.vector` replace both loops when their gates pass.
 
-**Semantics lock.** Batching must not change results, work accounting, or
+**Semantics lock.** Batching must not change results, final work totals, or
 adaptation. Three rules enforce that:
 
-1. *Deferred replay* — prepared probes carry their would-be charges and
-   monitor observations; :meth:`RuntimeLeg.replay_prepared` applies them at
-   the exact logical point the scalar path would have probed, so the meter,
-   the Eq 5–11 monitor estimates, ``incoming_since_check``, budget checks,
-   and observability hooks see the identical row stream in the identical
-   order.
-2. *Safe windows* — lookahead never crosses a point where a reorder check
-   could fire. With check frequency ``c``, a chunk prepared for position
-   ``p`` is capped at ``c`` minus the rows already counted toward the next
-   check, so every prepared deque is provably empty whenever the controller
-   is allowed to permute the pipeline (Sec 4.1/4.2 preconditions). The
-   driving lookahead is capped the same way against driving-switch checks.
-3. *Real consumption* — predicted driving rows are only used to prepare
-   probes; the rows actually consumed still come from the real charging
-   cursor iterator, so scan accounting, monitor records, and freeze/resume
-   positions are scalar-identical by construction (the shadow asserts its
-   prediction matches the consumed row object).
+1. *Nothing reads the meter mid-run* — the turbo (mode NONE) and fast
+   (monitored) loops charge each chunk's work as one aggregate when the
+   chunk is prepared, so intermediate meter states may run up to one chunk
+   ahead of scalar while final totals are exact. Everything that could
+   observe an intermediate state (execution limits, hot observability
+   hooks) routes the query to the scalar loop instead.
+2. *Safe windows* — under exact monitor granularity the fast loop's
+   lookahead never crosses a point where a reorder check could fire. With
+   check frequency ``c``, a chunk prepared for position ``p`` is capped at
+   ``c`` minus the rows already counted toward the next check, so every
+   prepared deque is provably empty whenever the controller is allowed to
+   permute the pipeline (Sec 4.1/4.2 preconditions). The driving lookahead
+   is capped the same way against driving-switch checks.
+3. *Real consumption* — the fast loop's predicted driving rows are only
+   used to prepare probes; the rows actually consumed still come from the
+   real charging cursor iterator, so scan accounting, monitor records, and
+   freeze/resume positions are scalar-identical by construction (the
+   shadow asserts its prediction matches the consumed row object).
 
-Configurations the lookahead cannot model (fault injection, the invariant
-oracle's RID tracking, the ``switch_at_key_boundary`` variant which peeks
-the cursor, unknown controller implementations, single-leg pipelines) fall
-back to the scalar ``_run`` wholesale; hash-probed legs fall back to scalar
-probes per leg.
+Configurations the chunked loops cannot model (execution limits, hot
+observability, fault injection, the invariant oracle's RID tracking, the
+``switch_at_key_boundary`` variant which peeks the cursor, unknown
+controller implementations, single-leg pipelines) run the scalar ``_run``
+wholesale, with the reason on ``vector_gate_reason``; hash-probed legs fall
+back to scalar probes per leg.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.core.controller import AdaptationController
 from repro.errors import ExecutionError
@@ -57,14 +59,66 @@ from repro.storage.cursor import IndexScanCursor
 from repro.storage.table import Row
 
 
+def driving_rids(
+    cursor, row_count: int, on_range: Callable[[], None] | None = None
+) -> Iterator[int]:
+    """RIDs the driving *cursor* yields next, in its visit order, uncharged.
+
+    Table scans walk RID order from the cursor's current position, bounded
+    by a partition's ``stop_at``. Index scans replay
+    ``IndexScanCursor._entries``: the same per-range (key, rid) walk, the
+    same ``start_after`` skipping and ``stop_at`` termination, read through
+    ``peek_range`` so no work is charged. *on_range* is called once per key
+    range the walk enters — where the cursor charges its descend.
+    """
+    if isinstance(cursor, IndexScanCursor):
+        return _index_rids(cursor, on_range)
+    last = cursor.last_position
+    start = 0 if last is None else last[0] + 1
+    end = row_count
+    if cursor.stop_at is not None:
+        # Partition-bounded cursor: never walk rows it will not yield.
+        end = min(end, cursor.stop_at[0])
+    return iter(range(start, end))
+
+
+def _index_rids(
+    cursor: IndexScanCursor, on_range: Callable[[], None] | None
+) -> Iterator[int]:
+    index = cursor.index
+    start = cursor.last_position
+    stop = cursor.stop_at
+    for key_range in cursor.ranges:
+        entry_start = None
+        if start is not None:
+            if key_range.high is not None and (
+                key_range.high < start[0]
+                or (key_range.high == start[0] and not key_range.high_inclusive)
+            ):
+                continue
+            entry_start = (start[0], start[1])
+        if on_range is not None:
+            on_range()
+        for key, rid in index.peek_range(
+            low=key_range.low,
+            high=key_range.high,
+            low_inclusive=key_range.low_inclusive,
+            high_inclusive=key_range.high_inclusive,
+            start_after=entry_start,
+        ):
+            if stop is not None and (key, rid) >= stop:
+                return
+            yield rid
+
+
 class DrivingShadow:
     """Uncharged lookahead over the driving scan.
 
-    Replicates the cursor's visit order (RID order for table scans, the
-    per-range (key, rid) walk for index scans) and the driving-row residual
-    local predicates, reading only ``raw_rows()`` / ``peek_range()`` so no
-    work is charged and no cursor or monitor state moves. The rows it
-    returns are the same objects the real cursor will yield next.
+    Walks the cursor's visit order (:func:`driving_rids`) and applies the
+    driving-row residual local predicates, reading only ``raw_rows()`` /
+    ``peek_range()`` so no work is charged and no cursor or monitor state
+    moves. The rows it returns are the same objects the real cursor will
+    yield next.
     """
 
     __slots__ = ("_raw", "_tests", "_iter")
@@ -75,48 +129,7 @@ class DrivingShadow:
         self._tests = [
             test for predicate, test in leg.local_tests if predicate is not pushed
         ]
-        if isinstance(cursor, IndexScanCursor):
-            self._iter = self._index_rids(cursor)
-        else:
-            self._iter = self._table_rids(cursor)
-
-    def _table_rids(self, cursor) -> Iterator[int]:
-        last = cursor.last_position
-        start = 0 if last is None else last[0] + 1
-        end = len(self._raw)
-        if cursor.stop_at is not None:
-            # Partition-bounded cursor: the lookahead must not prepare
-            # probes for rows the cursor will never yield.
-            end = min(end, cursor.stop_at[0])
-        yield from range(start, end)
-
-    def _index_rids(self, cursor: IndexScanCursor) -> Iterator[int]:
-        # Mirrors IndexScanCursor._entries: same range walk, same
-        # start-after skipping and stop-at bounding, but relative to the
-        # cursor's *current* position and without charging descends or
-        # entry touches.
-        index = cursor.index
-        start = cursor.last_position
-        stop = cursor.stop_at
-        for key_range in cursor.ranges:
-            entry_start = None
-            if start is not None:
-                if key_range.high is not None and (
-                    key_range.high < start[0]
-                    or (key_range.high == start[0] and not key_range.high_inclusive)
-                ):
-                    continue
-                entry_start = (start[0], start[1])
-            for key, rid in index.peek_range(
-                low=key_range.low,
-                high=key_range.high,
-                low_inclusive=key_range.low_inclusive,
-                high_inclusive=key_range.high_inclusive,
-                start_after=entry_start,
-            ):
-                if stop is not None and (key, rid) >= stop:
-                    return
-                yield rid
+        self._iter = driving_rids(cursor, len(self._raw))
 
     def next_survivors(self, limit: int) -> list[Row]:
         """Up to *limit* upcoming rows that survive the residual locals."""
@@ -138,13 +151,13 @@ class DrivingShadow:
 class TurboDrivingScan:
     """Chunked, aggregate-charging driving scan for unobserved static runs.
 
-    Walks the same visit order as the real cursor (RID order or the sorted
-    per-range (key, rid) walk) and applies the same residual local
-    predicates, but charges each chunk's aggregate work — row fetches, index
-    descends/entries, the scalar path's ``len(residual_tests)`` predicate
-    evals per scanned row — in one shot when the chunk is produced. Only
-    used by the turbo path, where nothing can read the meter mid-run, so
-    the aggregate totals are observably identical to the per-row charges of
+    Walks the same visit order as the real cursor (:func:`driving_rids`)
+    and applies the same residual local predicates, but charges each
+    chunk's aggregate work — row fetches, index descends/entries, the
+    scalar path's ``len(residual_tests)`` predicate evals per scanned row —
+    in one shot when the chunk is produced. Only used by the turbo path,
+    where nothing can read the meter mid-run, so the aggregate totals are
+    observably identical to the per-row charges of
     :meth:`RuntimeLeg.driving_rows`.
     """
 
@@ -166,45 +179,14 @@ class TurboDrivingScan:
         ]
         self._ntests = len(self._tests)
         self._meter = leg.meter
+        # A descend is owed per range the walk enters, charged with the
+        # chunk that consumes from it.
         self._pending_descends = 0
         self._is_index = isinstance(cursor, IndexScanCursor)
-        if self._is_index:
-            self._iter = self._index_rids(cursor)
-        else:
-            last = cursor.last_position
-            start = 0 if last is None else last[0] + 1
-            end = len(self._raw)
-            if cursor.stop_at is not None:
-                end = min(end, cursor.stop_at[0])
-            self._iter = iter(range(start, end))
+        self._iter = driving_rids(cursor, len(self._raw), self._owe_descend)
 
-    def _index_rids(self, cursor: IndexScanCursor) -> Iterator[int]:
-        # Same walk as IndexScanCursor._entries (including the cursor's
-        # partition bounds); a descend is owed per range actually entered,
-        # charged with the chunk that consumes from it.
-        index = cursor.index
-        start = cursor.last_position
-        stop = cursor.stop_at
-        for key_range in cursor.ranges:
-            entry_start = None
-            if start is not None:
-                if key_range.high is not None and (
-                    key_range.high < start[0]
-                    or (key_range.high == start[0] and not key_range.high_inclusive)
-                ):
-                    continue
-                entry_start = (start[0], start[1])
-            self._pending_descends += 1
-            for key, rid in index.peek_range(
-                low=key_range.low,
-                high=key_range.high,
-                low_inclusive=key_range.low_inclusive,
-                high_inclusive=key_range.high_inclusive,
-                start_after=entry_start,
-            ):
-                if stop is not None and (key, rid) >= stop:
-                    return
-                yield rid
+    def _owe_descend(self) -> None:
+        self._pending_descends += 1
 
     def next_survivors(self, limit: int) -> list[Row]:
         """Up to *limit* surviving rows; charges the chunk's scan work."""
@@ -243,12 +225,7 @@ class TurboDrivingScan:
 
 
 class BatchedPipelineExecutor(PipelineExecutor):
-    """Drop-in executor running the batched path (scalar fallback built in)."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # Why (if) this execution ran scalar; None means fully batched.
-        self.batch_fallback_reason: str | None = None
+    """Drop-in executor running the chunked loops (scalar fallback built in)."""
 
     # ------------------------------------------------------------------
     def _scalar_fallback_reason(self) -> str | None:
@@ -267,147 +244,31 @@ class BatchedPipelineExecutor(PipelineExecutor):
             # A custom controller may permute the pipeline at points the
             # safe-window bounds don't model; stay scalar for correctness.
             return "unrecognized adaptation controller"
+        # The chunked loops charge work a chunk ahead; budgets and per-row
+        # observability hooks read the meter and pipeline mid-run.
+        if self.obs is not None and self.obs.hot:
+            return "hot observability armed"
+        if self._enforcer is not None:
+            return "execution limits armed"
         return None
 
     # ------------------------------------------------------------------
     def _run(self) -> Iterator[tuple]:
         reason = self._scalar_fallback_reason()
         if reason is not None:
-            self.batch_fallback_reason = reason
+            self.vector_gate_reason = reason
             yield from super()._run()
-            return
-
-        if self._enforcer is None and (self.obs is None or not self.obs.hot):
-            if not self.config.mode.monitors:
-                # Mode NONE with no limits and no observability: nothing can
-                # read the meter, the monitors, or the pipeline mid-run, so
-                # the turbo loop may charge work in chunk aggregates and skip
-                # the per-probe replay machinery entirely. Final totals,
-                # results, and stats are scalar-identical.
-                yield from self._run_turbo()
-                return
-            # Monitored modes with no limits and no observability: the
-            # meter is only read at query end, so physical charges may be
-            # chunk-aggregated; monitor observations are applied in bulk
-            # exactly where no reorder check can interleave, per-probe
-            # elsewhere. Decisions, events, and final totals stay
-            # scalar-identical (see _run_fast).
+        elif not self.config.mode.monitors:
+            # Mode NONE: nothing can read the meter, the monitors, or the
+            # pipeline mid-run, so the turbo loop may charge work in chunk
+            # aggregates and skip the controller entirely.
+            yield from self._run_turbo()
+        else:
+            # Monitored modes: physical charges are chunk-aggregated and
+            # monitor observations applied wherever no reorder check can
+            # interleave (see _run_fast). Decisions, events, and final
+            # totals stay scalar-identical.
             yield from self._run_fast()
-            return
-
-        self.engine_used = "batched"
-        if self.obs is not None and self.obs.hot:
-            self.vector_gate_reason = "hot observability armed"
-        elif self._enforcer is not None:
-            self.vector_gate_reason = "execution limits armed"
-        self._open_driving(self.order[0])
-        self._compile_all_probes()
-        config = self.config
-        mode = config.mode
-        batch_size = config.batch_size
-        check_freq = config.check_frequency
-        controller = self.controller
-        meter = self.catalog.meter
-        limits = self._enforcer
-        obs = self.obs if (self.obs is not None and self.obs.hot) else None
-        projector = self._projector
-
-        leg_count = len(self.order)
-        last = leg_count - 1
-        binding: dict[str, Row] = {}
-        # Current match list + cursor per inner position.
-        match_rows: list[list[Row]] = [[] for _ in range(leg_count)]
-        match_idx: list[int] = [0] * leg_count
-        # Prepared (not yet replayed) probes per position, aligned with the
-        # upcoming outer rows at position - 1.
-        prepared: list[deque] = [deque() for _ in range(leg_count)]
-        # Shadow-predicted upcoming driving rows, aligned with prepared[1].
-        expected: deque[Row] = deque()
-        shadow: DrivingShadow | None = None
-
-        position = 0
-        while True:
-            if position == 0:
-                self.depleted_from = 0
-                if controller.on_pipeline_depleted():
-                    # Driving switch: every probe was recompiled; the safe
-                    # windows guarantee the deques were already empty, but
-                    # clear defensively and drop the stale shadow.
-                    leg_count = len(self.order)
-                    last = leg_count - 1
-                    binding.clear()
-                    expected.clear()
-                    for pending in prepared:
-                        pending.clear()
-                    shadow = None
-                if limits is not None:
-                    limits.check()
-                if not expected:
-                    shadow = self._refill_driving(
-                        shadow, expected, prepared, binding,
-                        leg_count, batch_size, check_freq, mode, obs,
-                    )
-                assert self._driving_iter is not None
-                row = next(self._driving_iter, None)
-                if row is None:
-                    return
-                self.depleted_from = None
-                self.driving_rows_since_check += 1
-                self.driving_rows_total += 1
-                if obs is not None:
-                    obs.on_driving_row(self)
-                binding[self.order[0]] = row
-                position = 1
-                leg = self.legs[self.order[1]]
-                if expected:
-                    predicted = expected.popleft()
-                    if predicted is not row:
-                        raise ExecutionError(
-                            "batched executor: driving lookahead diverged "
-                            f"from the cursor on leg {self.order[0]!r}"
-                        )
-                    match_rows[1] = leg.replay_prepared(prepared[1].popleft())
-                else:
-                    match_rows[1] = leg.probe(binding)
-                match_idx[1] = 0
-                continue
-
-            rows_list = match_rows[position]
-            idx = match_idx[position]
-            if idx >= len(rows_list):
-                # Suffix at >= position is depleted (Sec 4.1).
-                self.depleted_from = position
-                if obs is not None:
-                    obs.on_suffix_depleted(position)
-                controller.on_suffix_depleted(position)
-                position -= 1
-                continue
-            match_idx[position] = idx + 1
-            row = rows_list[idx]
-            self.depleted_from = None
-            binding[self.order[position]] = row
-            if position == last:
-                if limits is not None:
-                    limits.check_emit()
-                self.rows_emitted += 1
-                meter.charge_row_emitted()
-                if obs is not None:
-                    obs.on_rows_emitted()
-                yield projector(binding)
-                continue
-            position += 1
-            leg = self.legs[self.order[position]]
-            pending = prepared[position]
-            if not pending:
-                self._refill_inner(
-                    position, binding, match_rows, match_idx, prepared,
-                    last, batch_size, check_freq, mode,
-                )
-            if pending:
-                match_rows[position] = leg.replay_prepared(pending.popleft())
-            else:
-                match_rows[position] = leg.probe(binding)
-            match_idx[position] = 0
 
     # ------------------------------------------------------------------
     def _run_turbo(self) -> Iterator[tuple]:
@@ -416,10 +277,10 @@ class BatchedPipelineExecutor(PipelineExecutor):
         Semantically identical to the scalar machine at every *observable*
         point: same result rows in the same order, same final meter totals
         (probe for probe, row for row), same stats counters. The shortcuts —
-        chunk-aggregated charges, no controller calls, no per-probe replay —
-        are all justified by the entry condition: a static plan (no reorder
-        checks can ever fire), no limits, no observability, no oracle, no
-        faults, so nothing can read intermediate state. Partial consumption
+        chunk-aggregated charges, no controller calls, no per-probe monitor
+        updates — are all justified by the entry condition: a static plan
+        (no reorder checks can ever fire), no limits, no hot observability,
+        no oracle, no faults, so nothing can read intermediate state. Partial consumption
         of the ``rows()`` generator may observe charges up to one chunk
         ahead of scalar; full runs are exact.
         """
@@ -551,9 +412,9 @@ class BatchedPipelineExecutor(PipelineExecutor):
     def _run_fast(self) -> Iterator[tuple]:
         """Monitored batched loop with chunk-aggregated accounting.
 
-        Entry conditions: monitoring on, no limits, no observability (plus
-        the scalar-fallback screens: no faults, no oracle, recognized
-        controller, multi-leg). Then the meter is only read at query end,
+        Entry conditions: monitoring on and every scalar-fallback screen
+        passed (no limits, no hot observability, no faults, no oracle,
+        recognized controller, multi-leg). Then the meter is only read at query end,
         so physical charges and monitor-update charges are folded into one
         aggregate per chunk (``probe_batch_fast``); intermediate meter
         states run up to one chunk ahead, final totals are scalar-exact.
@@ -814,11 +675,14 @@ class BatchedPipelineExecutor(PipelineExecutor):
         scheme: int,
         chunked: bool = False,
     ) -> DrivingShadow | None:
-        """Fast-path twin of :meth:`_refill_driving` (same safe windows).
+        """Predict the next driving survivors and pre-resolve leg 1 probes.
 
-        Chunk granularity skips the safe-window caps — chunks run at the
-        full batch size and checks are deferred to chunk boundaries by the
-        caller's gates instead.
+        Under exact granularity the chunk width shrinks to the distance to
+        the next driving-switch check (and, with three or more legs, to
+        position 1's next inner-reorder check) so no prepared probe can
+        outlive a pipeline permutation. Chunk granularity skips the caps —
+        chunks run at the full batch size and the caller's gates defer
+        checks to chunk boundaries instead.
         """
         first_leg = self.legs[self.order[1]]
         probe_config = first_leg.probe_config
@@ -867,10 +731,13 @@ class BatchedPipelineExecutor(PipelineExecutor):
         scheme: int,
         chunked: bool = False,
     ) -> None:
-        """Fast-path twin of :meth:`_refill_inner` (same safe windows).
+        """Pre-resolve probes at *position* for the parent's upcoming rows.
 
-        Chunk granularity skips the safe-window cap; the caller's
-        pending-empty gate defers checks to chunk boundaries instead.
+        The chunk is the currently bound parent row plus lookahead into the
+        parent's remaining match list, capped under exact granularity at
+        the distance to this position's next inner-reorder check. Chunk
+        granularity skips the cap; the caller's pending-empty gate defers
+        checks to chunk boundaries instead.
         """
         alias = self.order[position]
         leg = self.legs[alias]
@@ -897,97 +764,5 @@ class BatchedPipelineExecutor(PipelineExecutor):
                 bump_incoming=scheme == self._OBS_BULK,
                 aggregate=chunked,
             )
-        )
-        binding[parent_alias] = current
-
-    # ------------------------------------------------------------------
-    def _refill_driving(
-        self,
-        shadow: DrivingShadow | None,
-        expected: deque,
-        prepared: list[deque],
-        binding: dict[str, Row],
-        leg_count: int,
-        batch_size: int,
-        check_freq: int,
-        mode,
-        obs,
-    ) -> DrivingShadow | None:
-        """Predict the next driving survivors and pre-resolve leg 1 probes.
-
-        The chunk width shrinks to the distance to the next driving-switch
-        check (and, with three or more legs, to position 1's next
-        inner-reorder check) so no prepared probe can outlive a pipeline
-        permutation.
-        """
-        first_leg = self.legs[self.order[1]]
-        probe_config = first_leg.probe_config
-        if probe_config is None or probe_config.hash_column is not None:
-            return shadow  # hash legs replay nothing; probe directly
-        width = batch_size
-        if mode.reorders_driving:
-            width = min(width, check_freq - self.driving_rows_since_check)
-        if mode.reorders_inner and leg_count >= 3:
-            width = min(
-                width, check_freq - first_leg.incoming_since_check
-            )
-        width = max(width, 1)
-        if shadow is None:
-            assert self.driving_cursor is not None
-            shadow = DrivingShadow(
-                self.legs[self.order[0]], self.driving_cursor
-            )
-        rows = shadow.next_survivors(width)
-        if rows:
-            driving_alias = self.order[0]
-            saved = binding.get(driving_alias)
-            prepared[1].extend(
-                first_leg.probe_batch(binding, driving_alias, rows)
-            )
-            if saved is not None:
-                binding[driving_alias] = saved
-            expected.extend(rows)
-            if obs is not None and obs.tracer is not None:
-                obs.on_driving_batch(driving_alias, len(rows))
-        return shadow
-
-    def _refill_inner(
-        self,
-        position: int,
-        binding: dict[str, Row],
-        match_rows: list[list[Row]],
-        match_idx: list[int],
-        prepared: list[deque],
-        last: int,
-        batch_size: int,
-        check_freq: int,
-        mode,
-    ) -> None:
-        """Pre-resolve probes at *position* for the parent's upcoming rows.
-
-        The chunk is the currently bound parent row plus lookahead into the
-        parent's remaining match list, capped at the distance to this
-        position's next inner-reorder check.
-        """
-        alias = self.order[position]
-        leg = self.legs[alias]
-        probe_config = leg.probe_config
-        if probe_config is None or probe_config.hash_column is not None:
-            return
-        width = batch_size
-        if mode.reorders_inner and position < last:
-            width = min(width, check_freq - leg.incoming_since_check)
-        width = max(width, 1)
-        parent_alias = self.order[position - 1]
-        current = binding[parent_alias]
-        if width > 1:
-            parent_rows = match_rows[position - 1]
-            parent_next = match_idx[position - 1]
-            outers = [current]
-            outers.extend(parent_rows[parent_next : parent_next + width - 1])
-        else:
-            outers = [current]
-        prepared[position].extend(
-            leg.probe_batch(binding, parent_alias, outers)
         )
         binding[parent_alias] = current

@@ -163,15 +163,16 @@ class PipelineExecutor:
         self.depleted_from: int | None = None
         self._enforcer: LimitEnforcer | None = None
         # Which execution engine actually ran this query: "scalar" (this
-        # class / the batched executor's scalar fallback), "batched"
-        # (generic batched loop), "turbo" / "fast" (unobserved batched
-        # loops), "vector" (static columnar cascade), "vector-adaptive"
-        # (chunked adaptive cascade; "+fast" suffix when it handed the
-        # cursors back to the generic loop mid-query). Surfaced on
-        # ExecutionStats.engine and the flight record.
+        # class / the batched executor's scalar fallback), "turbo" /
+        # "fast" (the batched executor's chunked loops), "vector" (static
+        # columnar cascade), "vector-adaptive" (chunked adaptive cascade;
+        # "+fast" suffix when it handed the cursors back to the fast loop
+        # mid-query). Surfaced on ExecutionStats.engine and the flight
+        # record.
         self.engine_used = "scalar"
-        # Why the vectorized cascade did NOT run (first failed gate), for
-        # the CLI's one-time warning; None when it ran or wasn't eligible.
+        # Why the vectorized cascade did NOT run (first failed gate, or the
+        # batched executor's scalar-fallback reason), for the CLI's
+        # one-time warning; None when it ran or wasn't eligible.
         self.vector_gate_reason: str | None = None
 
     # ------------------------------------------------------------------

@@ -29,15 +29,16 @@ supported: the driving walk clamps each key range to the cursor's
 of :class:`~repro.storage.cursor.IndexScanCursor`, which is how parallel
 workers run the cascade over their :class:`ScanPartition` slices.
 Like the rest of the turbo path this is only observably different from
-the scalar machine in *intermediate* meter states, which nothing can read
-(no limits, no observability, no faults, no oracle — enforced by the
-turbo entry conditions).
+the scalar machine in *intermediate* meter states, which nothing can read:
+runs with execution limits, hot observability, faults, or the oracle never
+get here (``BatchedPipelineExecutor._scalar_fallback_reason`` sends them to
+the scalar loop).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from repro.errors import ExecutionError
 from repro.storage.columnar import (
@@ -300,48 +301,12 @@ def _execute(
         if flow == 0:
             ancestors[leg.alias] = _np.zeros(0, dtype=_np.int64)
             continue
-        ranks = translate(ancestors[config.key_alias])
-        present = ranks >= 0
-        present_ranks = ranks[present]
-        # Scalar probe charges: descend always; present keys walk their
-        # full group (entries + fetches + short-circuit local evals);
-        # missing keys touch one entry; null keys descend only.
-        meter.index_descends += flow
-        if len(present_ranks):
-            group_sizes = kernel.totals[present_ranks]
-            touched = int(group_sizes.sum())
-            meter.index_entries += touched + int(
-                _np.count_nonzero(ranks == -2)
-            )
-            meter.row_fetches += touched
-            meter.predicate_evals += int(
-                kernel.evals[present_ranks].sum()
-            )
-        else:
-            meter.index_entries += int(_np.count_nonzero(ranks == -2))
-        offsets = kernel.pass_offsets
-        matches = _np.zeros(flow, dtype=_np.int64)
-        if len(present_ranks):
-            matches[present] = (
-                offsets[present_ranks + 1] - offsets[present_ranks]
-            )
-        total = int(matches.sum())
-        parent = _np.repeat(_np.arange(flow, dtype=_np.int64), matches)
-        if total:
-            starts = _np.zeros(flow, dtype=_np.int64)
-            starts[present] = offsets[present_ranks]
-            base = _np.repeat(starts, matches)
-            within = _np.arange(total, dtype=_np.int64) - _np.repeat(
-                _np.cumsum(matches) - matches, matches
-            )
-            new_rids = kernel.pass_rids[base + within]
-        else:
-            new_rids = _np.zeros(0, dtype=_np.int64)
-        ancestors = {
-            alias: rids[parent] for alias, rids in ancestors.items()
-        }
-        ancestors[leg.alias] = new_rids
-        flow = total
+        layer = _expand_layer(
+            meter, ancestors, flow, leg.alias, config.key_alias, kernel,
+            translate,
+        )
+        ancestors = layer.ancestors
+        flow = layer.total
 
     meter.rows_emitted += flow
     executor.rows_emitted += flow
@@ -358,6 +323,67 @@ def _execute(
             rids = ancestors[alias].tolist()
             columns.append([raw[rid][slot] for rid in rids])
         yield from zip(*columns)
+
+
+class _Layer(NamedTuple):
+    """One inner leg's CSR expansion and the aggregates it charged."""
+
+    ancestors: dict[str, Any]  # alias -> RID per joined tuple, after the leg
+    total: int  # joined tuples out (the leg's summed output rows)
+    touched: int  # candidate rows walked: index entries of present keys
+    entries: int  # index entries charged (touched + one per missing key)
+    evals: int  # short-circuit local predicate evals charged
+    present_ranks: Any  # sidecar ranks of the probes whose key is present
+
+
+def _expand_layer(
+    meter, ancestors: dict[str, Any], flow: int, alias: str, key_alias: str,
+    kernel, translate: Callable,
+) -> _Layer:
+    """Probe one inner leg for all *flow* in-flight tuples at once.
+
+    Translates the probe keys to sidecar ranks, charges the scalar probes'
+    work to *meter* (descend always; present keys walk their full group —
+    entries, fetches, short-circuit local evals; missing keys touch one
+    entry; null keys descend only), then expands every tuple by its passing
+    group rows with ``repeat``/``cumsum`` CSR gathers, keeping depth-first
+    nested-loop order.
+    """
+    ranks = translate(ancestors[key_alias])
+    present = ranks >= 0
+    present_ranks = ranks[present]
+    npresent = len(present_ranks)
+    missing = int(_np.count_nonzero(ranks == -2))
+    meter.index_descends += flow
+    if npresent:
+        touched = int(kernel.totals[present_ranks].sum())
+        evals = int(kernel.evals[present_ranks].sum())
+    else:
+        touched = 0
+        evals = 0
+    entries = touched + missing
+    meter.index_entries += entries
+    meter.row_fetches += touched
+    meter.predicate_evals += evals
+    offsets = kernel.pass_offsets
+    matches = _np.zeros(flow, dtype=_np.int64)
+    if npresent:
+        matches[present] = offsets[present_ranks + 1] - offsets[present_ranks]
+    total = int(matches.sum())
+    parent = _np.repeat(_np.arange(flow, dtype=_np.int64), matches)
+    if total:
+        starts = _np.zeros(flow, dtype=_np.int64)
+        starts[present] = offsets[present_ranks]
+        base = _np.repeat(starts, matches)
+        within = _np.arange(total, dtype=_np.int64) - _np.repeat(
+            _np.cumsum(matches) - matches, matches
+        )
+        new_rids = kernel.pass_rids[base + within]
+    else:
+        new_rids = _np.zeros(0, dtype=_np.int64)
+    expanded = {name: rids[parent] for name, rids in ancestors.items()}
+    expanded[alias] = new_rids
+    return _Layer(expanded, total, touched, entries, evals, present_ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -538,69 +564,33 @@ def _adaptive_run(executor, inner: list):
             if flow == 0:
                 ancestors[leg.alias] = _np.zeros(0, dtype=_np.int64)
                 continue
-            ranks = translate(ancestors[pconfig.key_alias])
-            present = ranks >= 0
-            present_ranks = ranks[present]
-            npresent = len(present_ranks)
-            missing = int(_np.count_nonzero(ranks == -2))
-            meter.index_descends += flow
-            if npresent:
-                group_sizes = kernel.totals[present_ranks]
-                touched = int(group_sizes.sum())
-                evals = int(kernel.evals[present_ranks].sum())
-            else:
-                touched = 0
-                evals = 0
-            entries = touched + missing
-            meter.index_entries += entries
-            meter.row_fetches += touched
-            meter.predicate_evals += evals
-            offsets = kernel.pass_offsets
-            matches = _np.zeros(flow, dtype=_np.int64)
-            if npresent:
-                matches[present] = (
-                    offsets[present_ranks + 1] - offsets[present_ranks]
-                )
-            total = int(matches.sum())
+            layer = _expand_layer(
+                meter, ancestors, flow, leg.alias, pconfig.key_alias, kernel,
+                translate,
+            )
             if leg.monitoring_enabled:
                 meter.monitor_updates += flow
                 # The lean aggregate: (incoming, index matches, output,
                 # work) — deferred, applied as one window entry per chunk.
                 leg.monitor.defer_chunk(
                     flow,
-                    touched,
-                    total,
+                    layer.touched,
+                    layer.total,
                     flow * INDEX_DESCEND_COST
-                    + entries * INDEX_ENTRY_COST
-                    + touched * ROW_FETCH_COST
-                    + evals * PREDICATE_EVAL_COST,
+                    + layer.entries * INDEX_ENTRY_COST
+                    + layer.touched * ROW_FETCH_COST
+                    + layer.evals * PREDICATE_EVAL_COST,
                 )
-                if leg.local_tests:
-                    counts_list = leg.local_counts
+                present_ranks = layer.present_ranks
+                if leg.local_tests and len(present_ranks):
                     ev = kernel.ev
                     pa = kernel.pa
-                    for slot in range(len(counts_list)):
-                        counts = counts_list[slot]
-                        if npresent:
-                            counts[0] += int(ev[slot][present_ranks].sum())
-                            counts[1] += int(pa[slot][present_ranks].sum())
+                    for slot, counts in enumerate(leg.local_counts):
+                        counts[0] += int(ev[slot][present_ranks].sum())
+                        counts[1] += int(pa[slot][present_ranks].sum())
                 leg.incoming_since_check += flow
-            parent = _np.repeat(_np.arange(flow, dtype=_np.int64), matches)
-            if total:
-                starts = _np.zeros(flow, dtype=_np.int64)
-                starts[present] = offsets[present_ranks]
-                base = _np.repeat(starts, matches)
-                within = _np.arange(total, dtype=_np.int64) - _np.repeat(
-                    _np.cumsum(matches) - matches, matches
-                )
-                new_rids = kernel.pass_rids[base + within]
-            else:
-                new_rids = _np.zeros(0, dtype=_np.int64)
-            ancestors = {
-                alias: arr[parent] for alias, arr in ancestors.items()
-            }
-            ancestors[leg.alias] = new_rids
-            flow = total
+            ancestors = layer.ancestors
+            flow = layer.total
 
         meter.rows_emitted += flow
         executor.rows_emitted += flow

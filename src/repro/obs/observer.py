@@ -52,9 +52,10 @@ class QueryObservability:
         # controller's cold check points, so it does not make the bundle hot.
         self.audit = None
         # ``hot`` = some per-row/per-probe consumer is armed. The executor
-        # only wires the hot hook sites (and gives up its turbo/fast batched
-        # paths) for hot bundles; a recorder-only bundle stays on the exact
-        # same code path as observability-off execution.
+        # only wires the hot hook sites for hot bundles, and a batched
+        # configuration runs the scalar loop under one (its chunked loops
+        # and cascades never call them); a recorder-only bundle stays on
+        # the exact same code path as observability-off execution.
         self.hot = (
             tracer is not None or metrics is not None or sampler is not None
         )
@@ -149,13 +150,6 @@ class QueryObservability:
             batch[2] += rows_out
             if batch[0] >= self.probe_batch:
                 self._flush_batch(alias, batch)
-
-    def on_driving_batch(self, alias: str, size: int) -> None:
-        """The batched executor pre-resolved *size* driving rows."""
-        if self.tracer is not None:
-            self.tracer.event(
-                "driving-batch", kind="leg", leg=alias, rows=size
-            )
 
     def on_scan_row(self, alias: str, survived: bool) -> None:
         if self.metrics is not None:

@@ -191,10 +191,10 @@ class SortedIndex:
         Distinct non-``None`` keys are sorted and located left-to-right over
         ``_entries``, each ``bisect`` reusing the previous key's upper bound
         as its lower search bound — one logical descend per distinct key,
-        never rewinding. The caller (the batched executor) replays the
-        per-probe ``INDEX_DESCEND`` / ``INDEX_ENTRY`` / ``ROW_FETCH``
-        charges at the same logical points the scalar path would, so this
-        method charges nothing itself.
+        never rewinding. The caller (the batched executor's fast loop)
+        charges the per-probe ``INDEX_DESCEND`` / ``INDEX_ENTRY`` /
+        ``ROW_FETCH`` totals the scalar path would, so this method charges
+        nothing itself.
         """
         self._check_fresh()
         entries = self._entries

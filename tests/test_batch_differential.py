@@ -1,9 +1,10 @@
 """Differential property tests: the batched path is observably identical.
 
-The batched executor (driving-leg chunks, merged-descent ``probe_batch``,
-and the mode-NONE turbo path) must be a pure performance change. Sweeping
-batch sizes x every ReorderMode against the scalar executor, these tests
-pin down the contract:
+The batched executor (the chunked turbo and fast loops, the columnar
+cascades, and the scalar loop it runs under execution limits or hot
+observability) must be a pure performance change. Sweeping batch sizes x
+every ReorderMode against the scalar executor, these tests pin down the
+contract:
 
 * identical result multiset;
 * identical adaptation event sequence and order history;
@@ -16,7 +17,12 @@ from dataclasses import asdict
 
 import pytest
 
-from repro import AdaptiveConfig, ReorderMode
+from repro import (
+    AdaptiveConfig,
+    CancellationToken,
+    ExecutionLimits,
+    ReorderMode,
+)
 from repro.core.controller import AdaptationController
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.executor.batch import BatchedPipelineExecutor
@@ -41,6 +47,13 @@ EXACT_METER_FIELDS = (
 def dmv():
     db, _ = load_dmv(scale=0.02, extended=True)
     return db
+
+
+@pytest.fixture(scope="module")
+def columnar_dmv():
+    db, _ = load_dmv(scale=0.02, extended=True, backend="columnar")
+    yield db
+    db.close()
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +120,45 @@ def test_driving_switch_preserves_results():
             leg.positional is not None for leg in executor.legs.values()
         ), granularity
         assert sorted(rows) == sorted(scalar.rows), granularity
+
+
+@pytest.mark.parametrize("backend", ["row", "columnar"])
+@pytest.mark.parametrize("granularity", ["exact", "chunk"])
+@pytest.mark.parametrize("mode", list(ReorderMode), ids=lambda m: m.name.lower())
+def test_limited_and_observed_runs_are_the_scalar_oracle(
+    dmv, columnar_dmv, workload, backend, granularity, mode
+):
+    """A batched configuration under execution limits or hot observability
+    runs the scalar loop: the same rows in the same order, the same events
+    and the same WorkMeter as an unbatched, unlimited, unobserved run, with
+    the engine reported as ``scalar`` and the reason on ``vector_gate``.
+    The limits are generous, so none of them trips."""
+    db = dmv if backend == "row" else columnar_dmv
+    config = AdaptiveConfig(
+        mode=mode, batched=True, monitor_granularity=granularity
+    )
+    for query in workload:
+        oracle = db.execute(
+            query.sql,
+            AdaptiveConfig(mode=mode, monitor_granularity=granularity),
+        )
+        limits = ExecutionLimits(
+            max_rows=len(oracle.rows) + 1,
+            max_work_units=2 * oracle.stats.total_work + 1,
+            timeout_seconds=600.0,
+            cancellation=CancellationToken(),
+        )
+        for reason, kwargs in (
+            ("execution limits armed", {"limits": limits}),
+            ("hot observability armed", {"obs": True}),
+        ):
+            result = db.execute(query.sql, config, **kwargs)
+            tag = f"{query.qid} {backend} {granularity}: {reason}"
+            assert result.stats.engine == "scalar", tag
+            assert result.stats.vector_gate == reason, tag
+            assert result.rows == oracle.rows, tag
+            assert result.stats.events == oracle.stats.events, tag
+            assert (
+                result.stats.order_history == oracle.stats.order_history
+            ), tag
+            assert asdict(result.stats.work) == asdict(oracle.stats.work), tag

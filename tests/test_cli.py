@@ -163,6 +163,45 @@ class TestCommands:
         assert "budget: unlimited" in out
         assert "faults: 0 transient retrie(s), 0 degradation(s)" in out
 
+    @pytest.mark.parametrize(
+        "flags,reason",
+        [
+            (["--timeout-ms", "60000"], "execution limits armed"),
+            (["--max-rows", "100000"], "execution limits armed"),
+            (["--explain-analyze"], "hot observability armed"),
+        ],
+        ids=["timeout", "max-rows", "explain-analyze"],
+    )
+    def test_query_notes_scalar_fallback_on_columnar(
+        self, monkeypatch, capsys, flags, reason
+    ):
+        """A batched columnar run that a limit or a tracer sends to the
+        scalar loop names that gate once on stderr."""
+        import repro.cli as cli
+
+        monkeypatch.setattr(cli, "_vector_gate_warned", False)
+        code = main(
+            [
+                "query",
+                "--scale",
+                "0.005",
+                "--backend",
+                "columnar",
+                "--batch-size",
+                "64",
+                *flags,
+                "SELECT o.name, c.make FROM Owner o, Car c "
+                "WHERE c.ownerid = o.id AND o.country3 = 'DE'",
+            ]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert (
+            f"note: vectorized cascade disabled ({reason}); "
+            "ran the 'scalar' engine instead"
+        ) in err
+        assert err.count("note: vectorized cascade disabled") == 1
+
     def test_query_trace_and_metrics(self, tmp_path, capsys):
         import json
 

@@ -19,8 +19,37 @@ SQL = (
 )
 
 
+#: Batched configurations: under limits each runs the scalar loop, so its
+#: budgets must trip at exactly the scalar run's point.
+BATCHED = [
+    pytest.param({"batched": True}, id="batched"),
+    pytest.param({"batched": True, "batch_size": 7}, id="batched-7"),
+    pytest.param(
+        {"batched": True, "monitor_granularity": "chunk"}, id="chunk"
+    ),
+]
+MODES = pytest.mark.parametrize(
+    "mode", [ReorderMode.NONE, ReorderMode.BOTH], ids=["none", "both"]
+)
+
+
 def _db():
     return build_three_table_db()
+
+
+def _budget_error(db, config, limits) -> BudgetExceeded:
+    with pytest.raises(BudgetExceeded) as excinfo:
+        db.execute(SQL, config, limits=limits)
+    return excinfo.value
+
+
+def _progress(error: BudgetExceeded) -> tuple:
+    return (
+        error.reason,
+        error.rows_emitted,
+        error.driving_rows,
+        error.work_units,
+    )
 
 
 class TestExecutionLimits:
@@ -120,6 +149,52 @@ class TestWorkAndTimeBudgets:
                 limits=ExecutionLimits(cancellation=token),
             )
         assert excinfo.value.rows_emitted == 0
+
+
+class TestBatchedBudgets:
+    """Batched configurations stop where the scalar loop stops: the same
+    reason, rows delivered, driving rows and work charged."""
+
+    @MODES
+    @pytest.mark.parametrize("overrides", BATCHED)
+    def test_row_budget(self, mode, overrides):
+        db = _db()
+        limits = ExecutionLimits(max_rows=3)
+        scalar = _budget_error(db, AdaptiveConfig(mode=mode), limits)
+        batched = _budget_error(
+            db, AdaptiveConfig(mode=mode, **overrides), limits
+        )
+        assert batched.rows_emitted == 3
+        assert _progress(batched) == _progress(scalar)
+
+    @MODES
+    @pytest.mark.parametrize("overrides", BATCHED)
+    def test_work_budget(self, mode, overrides):
+        db = _db()
+        # About 60% of the query's work: trips after some rows went out.
+        limits = ExecutionLimits(max_work_units=300.0)
+        scalar = _budget_error(db, AdaptiveConfig(mode=mode), limits)
+        batched = _budget_error(
+            db, AdaptiveConfig(mode=mode, **overrides), limits
+        )
+        assert "work budget" in batched.reason
+        assert batched.rows_emitted > 0
+        assert _progress(batched) == _progress(scalar)
+
+    @MODES
+    @pytest.mark.parametrize("overrides", BATCHED)
+    def test_pre_cancelled_token_stops_immediately(self, mode, overrides):
+        db = _db()
+        token = CancellationToken()
+        token.cancel("shed load")
+        error = _budget_error(
+            db,
+            AdaptiveConfig(mode=mode, **overrides),
+            ExecutionLimits(cancellation=token),
+        )
+        assert "shed load" in error.reason
+        assert error.rows_emitted == 0
+        assert error.driving_rows == 0
 
 
 class TestBudgetExceededType:
